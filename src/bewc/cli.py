@@ -342,7 +342,7 @@ def build_parser() -> _Parser:
     def common(sp, grid=False, mc=True):
         sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
         sp.add_argument("--threads", type=int, default=1,
-                        help="parallelism cap; results do not depend on it")
+                        help="accepted and ignored; results do not depend on it")
         sp.add_argument("-o", "--output", help="output file (relative paths land in "
                         f"${OUTPUT_DIR_ENV} when set)")
         sp.add_argument("--format", choices=["csv", "json"], default="csv")

@@ -19,7 +19,7 @@ from typing import Iterator
 import numpy as np
 
 from . import gf2
-from .gf2 import BitMatrix
+from .gf2 import BitMatrix, BitVec
 
 SUBSPACE_ENUM_GUARD = 10**7
 RANDOM_RANK_ATTEMPTS = 1000
@@ -214,16 +214,23 @@ def parse(text: str) -> CodeSpec:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise CodeError(f"malformed code document: {e}") from e
+    if not isinstance(doc, dict):
+        raise CodeError("code document must be a JSON object")
     for key in ("name", "n", "dim", "generator_rows"):
         if key not in doc:
             raise CodeError(f"code document missing field {key!r}")
-    rows = doc["generator_rows"]
+    n, rows = doc["n"], doc["generator_rows"]
+    if type(n) is not int or type(doc["dim"]) is not int:
+        raise CodeError("n and dim must be integers")
+    if not isinstance(rows, list) or not all(isinstance(r, str) for r in rows):
+        raise CodeError("generator_rows must be a list of '01' strings")
     if len(rows) != doc["dim"]:
         raise CodeError("generator_rows count does not match dim")
-    if any(len(r) != doc["n"] for r in rows):
+    if any(len(r) != n for r in rows):
         raise CodeError("generator row width does not match n")
     try:
-        G = BitMatrix.from_strings(rows)
+        # Width from the document, so a zero-row generator keeps its n.
+        G = BitMatrix(n, tuple(BitVec.from_string(r).word for r in rows))
     except ValueError as e:
         raise CodeError(str(e)) from e
     return from_generator(G, name=doc["name"])

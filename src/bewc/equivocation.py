@@ -2,12 +2,11 @@
 
 Per-observation entropy for a coset code depends only on which positions
 were erased: with µ positions revealed, it is k − µ + rank(G_µ), where G_µ
-is the generator restricted to the revealed columns.  An equivalent dual
-form, rank of the parity-check columns at the *erased* positions, is used
-in hot loops whenever the parity check has fewer rows than the generator;
-the two are checked against each other in the test suite.
+is the generator restricted to the revealed columns (`pattern_equivocation`,
+the reference).  Bulk scoring runs through one batched kernel,
+`PatternEntropy`, which counts the words of C⊥ or C an erasure hides.
 
-Exact equivocation enumerates the 2^n erasure patterns once into a rank
+Exact equivocation scores the 2^n erasure patterns once into a rank
 profile N(µ, r) and then evaluates the resulting polynomial in ε.  Beyond
 the 2^n budget, an unbiased Monte Carlo estimator samples patterns.
 """
@@ -49,13 +48,6 @@ class ErasurePattern:
     @property
     def mu(self) -> int:
         return len(self.revealed)
-
-    @property
-    def revealed_mask(self) -> int:
-        m = 0
-        for i in self.revealed:
-            m |= 1 << i
-        return m
 
     @classmethod
     def from_mask(cls, n: int, mask: int) -> "ErasurePattern":
@@ -120,6 +112,68 @@ def observation_equivocation_oracle(
     return -sum((c / total) * math.log2(c / total) for c in counts if c)
 
 
+# Row spaces of at most this dimension are listed and matched against whole
+# batches; above it, per-pattern elimination is cheaper.  Per trial at d = 13:
+# 12–22 µs listed against 13–74 µs eliminated (n = 30..127); at d = 14, n = 32,
+# 24 µs against 12.
+SPAN_MAX_DIM = 13
+_POPCOUNT8 = np.array([bin(i).count("1") for i in range(256)])
+
+
+class PatternEntropy:
+    """Per-pattern entropy h(E), in bits, for batches of erased-position masks.
+
+    Lists the row space D of the smaller of H (D = C⊥) and G (D = C) once;
+    then h = k − log2 #{c ∈ D : c ∧ E = 0} on the H side and
+    h = |E| − log2 #{c ∈ D : c ∧ ¬E = 0} on the G side, one AND-and-compare
+    per word of D over the whole batch.  Each count is the size of a subspace,
+    so its log2 is exact.  When min(k, dim) > SPAN_MAX_DIM, each pattern gets
+    one GF(2) elimination instead, on the cheaper of H_E and G_Ē.
+    """
+
+    def __init__(self, code: CodeSpec):
+        self.n, self.k, self.dim = code.n, code.k, code.dim
+        self.h_side = code.k <= code.dim
+        if min(code.k, code.dim) > SPAN_MAX_DIM:
+            self.span = None
+            self.cols_h, self.cols_g = gf2.column_ints(code.H), gf2.column_ints(code.G)
+            return
+        span = [0]
+        for row in (code.H if self.h_side else code.G).rows:
+            span += [c ^ row for c in span]
+        width = 8 * ((code.n + 63) // 64)
+        # (2^d − 1, words) little-endian; the zero word is counted up front.
+        self.span = np.array([np.frombuffer(c.to_bytes(width, "little"), "<u8") for c in span[1:]])
+
+    def __call__(self, erased: np.ndarray) -> np.ndarray:
+        """Entropies (int64) of the patterns in an (N, ⌈n/8⌉) little-endian
+        packed erased-mask array."""
+        nerased = _POPCOUNT8[erased].sum(axis=1)
+        if self.span is None:
+            return np.array([self._eliminate(int.from_bytes(row.tobytes(), "little"), int(e))
+                             for row, e in zip(erased, nerased)], dtype=np.int64)
+        padded = np.zeros((len(erased), 8 * self.span.shape[1]), dtype=np.uint8)
+        padded[:, : erased.shape[1]] = erased
+        m = np.ascontiguousarray(padded.view("<u8").T)  # (words, N)
+        if not self.h_side:
+            m = ~m
+        count = np.ones(len(erased), dtype=np.int32)
+        hit, tmp = np.empty(len(erased), dtype=bool), np.empty(len(erased), dtype=np.uint64)
+        for c in self.span:
+            np.equal(np.bitwise_and(m[0], c[0], out=tmp), 0, out=hit)
+            for w in range(1, len(c)):
+                hit &= np.bitwise_and(m[w], c[w], out=tmp) == 0
+            count += hit
+        log_count = np.frexp(count)[1] - 1
+        return (self.k if self.h_side else nerased) - log_count.astype(np.int64)
+
+    def _eliminate(self, erased: int, nerased: int) -> int:
+        if nerased * self.k <= (self.n - nerased) * self.dim:
+            return gf2.masked_rank(self.cols_h, erased)  # rank(H_E)
+        mu = self.n - nerased
+        return self.k - mu + gf2.masked_rank(self.cols_g, ((1 << self.n) - 1) ^ erased)
+
+
 @dataclass(frozen=True)
 class RankProfile:
     """N(µ, r): revealed-subset counts by size µ and generator-submatrix rank r."""
@@ -143,37 +197,22 @@ class RankProfile:
 
 
 def rank_profile(code: CodeSpec) -> RankProfile:
-    """Tally rank(G_µ) over all 2^n revealed-position subsets.
-
-    Works on whichever of G / H has fewer rows: rank(G_S) = µ − k + rank(H_Ē)
-    with Ē the erased set, so the smaller matrix always suffices.
-    """
+    """Tally rank(G_µ) over all 2^n revealed-position subsets, scored in
+    chunks through the entropy kernel: r = h − k + µ."""
     n, k, dim = code.n, code.k, code.dim
     if n > RANK_PROFILE_GUARD_N:
         raise GuardError(f"rank profile needs n <= {RANK_PROFILE_GUARD_N}, got {n}")
-    counts: dict[tuple[int, int], int] = {}
-    use_g = dim <= k
-    cols = gf2.column_ints(code.G if use_g else code.H)
-    full = (1 << n) - 1
-    for revealed in range(1 << n):
-        mu = revealed.bit_count()
-        it = revealed if use_g else (full ^ revealed)
-        r = 0
-        pivots: dict[int, int] = {}
-        while it:
-            c = cols[(it & -it).bit_length() - 1]
-            it &= it - 1
-            while c:
-                low = (c & -c).bit_length() - 1
-                p = pivots.get(low)
-                if p is None:
-                    pivots[low] = c
-                    r += 1
-                    break
-                c ^= p
-        r_g = r if use_g else mu - k + r
-        key = (mu, r_g)
-        counts[key] = counts.get(key, 0) + 1
+    ent = PatternEntropy(code)
+    full = np.uint64((1 << n) - 1)
+    nbytes = (n + 7) // 8
+    tally = np.zeros((n + 1) * (dim + 1), dtype=np.int64)
+    for start in range(0, 1 << n, MC_BATCH):
+        erased = np.arange(start, min(start + MC_BATCH, 1 << n), dtype=np.uint64) ^ full
+        erased = erased.astype("<u8", copy=False).view(np.uint8).reshape(-1, 8)[:, :nbytes]
+        mu = n - _POPCOUNT8[erased].sum(axis=1)
+        r = ent(erased) - k + mu
+        tally += np.bincount(mu * (dim + 1) + r, minlength=tally.size)
+    counts = {divmod(i, dim + 1): c for i, c in enumerate(tally.tolist()) if c}
     return RankProfile(code_name=code.name, n=n, dim=dim, counts=counts)
 
 
@@ -202,41 +241,12 @@ class McEstimate:
     seed: int
 
 
-class _PatternEntropy:
-    """Per-pattern entropy from a packed erased-position mask.
-
-    Picks the generator side (work ∝ revealed count) or the parity-check
-    side (work ∝ erased count) once, by expected cost at the given ε.
-    """
-
-    def __init__(self, code: CodeSpec, eps: float):
-        cost_g = (1.0 - eps) * code.dim
-        cost_h = eps * code.k
-        self.use_g = cost_g <= cost_h
-        self.cols = gf2.column_ints(code.G if self.use_g else code.H)
-        self.n, self.k = code.n, code.k
-        self.full = (1 << code.n) - 1
-
-    def from_erased_mask(self, erased: int) -> int:
-        it = (self.full ^ erased) if self.use_g else erased
-        r = 0
-        pivots: dict[int, int] = {}
-        cols = self.cols
-        while it:
-            c = cols[(it & -it).bit_length() - 1]
-            it &= it - 1
-            while c:
-                low = (c & -c).bit_length() - 1
-                p = pivots.get(low)
-                if p is None:
-                    pivots[low] = c
-                    r += 1
-                    break
-                c ^= p
-        if self.use_g:
-            mu = self.n - erased.bit_count()
-            return self.k - mu + r
-        return r
+def check_mc_args(eps: float, trials: int) -> None:
+    """Reject what no sampler can estimate: fewer than 2 trials, ε outside [0, 1]."""
+    if trials < 2:
+        raise ValueError(f"need at least 2 trials, got {trials}")
+    if not 0.0 <= eps <= 1.0:
+        raise ValueError(f"eps must be in [0, 1], got {eps}")
 
 
 def mc_equivocation(
@@ -250,26 +260,16 @@ def mc_equivocation(
     Batch b draws from its own counter-derived stream, so any worker layout
     reproduces the same estimate bit for bit.
     """
-    if trials < 2:
-        raise ValueError(f"need at least 2 trials, got {trials}")
-    if not 0.0 <= eps <= 1.0:
-        raise ValueError(f"eps must be in [0, 1], got {eps}")
-    ent = _PatternEntropy(code, eps)
-    n = code.n
+    check_mc_args(eps, trials)
+    ent = PatternEntropy(code)
     s = ss = 0
-    done = 0
-    bindex = 0
-    while done < trials:
-        size = min(batch, trials - done)
+    for bindex, start in enumerate(range(0, trials, batch)):
+        size = min(batch, trials - start)
         rng = np.random.Generator(np.random.Philox(key=derive_seed(seed, bindex)))
-        erased = rng.random((size, n)) < eps
-        packed = np.packbits(erased, axis=1, bitorder="little")
-        for row in packed:
-            h = ent.from_erased_mask(int.from_bytes(row.tobytes(), "little"))
-            s += h
-            ss += h * h
-        done += size
-        bindex += 1
+        erased = rng.random((size, code.n)) < eps
+        h = ent(np.packbits(erased, axis=1, bitorder="little"))
+        s += int(h.sum())
+        ss += int(h @ h)
     mean = s / trials
     var = (trials * ss - s * s) / (trials * (trials - 1))
     stddev = math.sqrt(max(var, 0.0))

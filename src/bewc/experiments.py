@@ -16,13 +16,7 @@ import numpy as np
 
 from . import codes, coset, equivocation as eq
 from .codes import CodeSpec, GuardError, RandomCodeParams, derive_seed, make_rng
-from .equivocation import (
-    CI95,
-    EquivocationCurve,
-    GapReport,
-    Observation,
-    _PatternEntropy,
-)
+from .equivocation import CI95, EquivocationCurve, GapReport, Observation
 from .gf2 import BitMatrix, BitVec
 
 
@@ -57,30 +51,32 @@ class SessionReport:
 
 def simulate_session(code: CodeSpec, eps: float, trials: int, seed: int) -> SessionReport:
     """Full pipeline replica: encode random (m, v), Bob syndrome-decodes the
-    noiseless copy, Eve's observation is scored by per-pattern entropy."""
-    if trials < 1:
-        raise ValueError("trials must be positive")
+    noiseless copy, Eve's observation is scored by per-pattern entropy,
+    MC_BATCH trials at a time (the RNG is read per trial: m, v, erasures)."""
+    eq.check_mc_args(eps, trials)
     enc = coset.build_encoder(code)
-    ent = _PatternEntropy(code, eps)
+    ent = eq.PatternEntropy(code)
     n, k, dim = code.n, code.k, code.dim
     rng = make_rng(seed, "session")
     bob_ok = 0
     s = ss = 0
-    for _ in range(trials):
+    draws = np.empty((min(trials, eq.MC_BATCH), n))
+    filled = 0
+    for t in range(trials):
         m = BitVec(k, int.from_bytes(rng.bytes((k + 7) // 8), "little") & ((1 << k) - 1))
         v = BitVec(dim, int.from_bytes(rng.bytes((dim + 7) // 8), "little") & ((1 << dim) - 1))
         x = coset.encode(enc, m, v)
         if coset.decode(enc, x) == m:
             bob_ok += 1
-        erased = rng.random(n) < eps
-        erased_mask = int.from_bytes(
-            np.packbits(erased, bitorder="little").tobytes(), "little"
-        )
-        h = ent.from_erased_mask(erased_mask)
-        s += h
-        ss += h * h
+        rng.random(out=draws[filled])
+        filled += 1
+        if filled == len(draws) or t == trials - 1:
+            h = ent(np.packbits(draws[:filled] < eps, axis=1, bitorder="little"))
+            s += int(h.sum())
+            ss += int(h @ h)
+            filled = 0
     mean = s / trials
-    var = (trials * ss - s * s) / (trials * (trials - 1)) if trials > 1 else 0.0
+    var = (trials * ss - s * s) / (trials * (trials - 1))
     return SessionReport(
         code_name=code.name,
         eps=eps,

@@ -120,7 +120,7 @@ class BitMatrix:
 
 
 def column_ints(m: BitMatrix) -> list[int]:
-    """Columns of m as packed ints (bit i = row i).  Rank workhorses."""
+    """Columns of m as packed ints (bit i = row i)."""
     out = []
     for j in range(m.cols):
         c = 0
@@ -131,27 +131,18 @@ def column_ints(m: BitMatrix) -> list[int]:
     return out
 
 
-def rank(m: BitMatrix) -> int:
-    """GF(2) row rank by forward elimination; any 1 serves as a pivot."""
+def masked_rank(vectors: Sequence[int], mask: int) -> int:
+    """GF(2) rank of the vectors[i] whose bit i is set in mask.
+
+    Forward elimination in which any 1 serves as a pivot.  This is the one
+    elimination loop of the package (rref aside): `rank` and the per-pattern
+    entropy kernel's scalar path both run through it.
+    """
     pivots: dict[int, int] = {}
     r = 0
-    for row in m.rows:
-        while row:
-            low = (row & -row).bit_length() - 1
-            p = pivots.get(low)
-            if p is None:
-                pivots[low] = row
-                r += 1
-                break
-            row ^= p
-    return r
-
-
-def rank_of_ints(vectors: Iterable[int]) -> int:
-    """Rank of packed vectors without the BitMatrix wrapper."""
-    pivots: dict[int, int] = {}
-    r = 0
-    for v in vectors:
+    while mask:
+        v = vectors[(mask & -mask).bit_length() - 1]
+        mask &= mask - 1
         while v:
             low = (v & -v).bit_length() - 1
             p = pivots.get(low)
@@ -161,6 +152,11 @@ def rank_of_ints(vectors: Iterable[int]) -> int:
                 break
             v ^= p
     return r
+
+
+def rank(m: BitMatrix) -> int:
+    """GF(2) row rank."""
+    return masked_rank(m.rows, (1 << m.nrows) - 1)
 
 
 def select_columns(m: BitMatrix, keep: Sequence[int]) -> BitMatrix:

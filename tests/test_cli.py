@@ -40,6 +40,14 @@ def test_code_validate_rejects_rank_deficient(tmp_path, capsys):
     assert "invalid" in stderr
 
 
+def test_code_validate_rejects_integer_rows(tmp_path, capsys):
+    f = tmp_path / "ints.json"
+    f.write_text('{"name": "ints", "n": 3, "dim": 1, "generator_rows": [111]}')
+    rc, _, stderr = run(["code", "validate", str(f)], capsys)
+    assert rc == 1
+    assert stderr == "invalid: generator_rows must be a list of '01' strings\n"
+
+
 def test_code_validate_accepts_good_file(tmp_path, capsys, ex1):
     f = tmp_path / "ok.json"
     f.write_text(codes.serialize(ex1))
@@ -173,3 +181,14 @@ def test_simulate_smoke(capsys):
                          "--eps", "0.3", "--trials", "500"], capsys)
     assert rc == 0
     assert "bob_success=1.0000" in stdout
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--eps", "1.5", "--trials", "10"], "error: eps must be in [0, 1], got 1.5\n"),
+    (["--eps", "0.3", "--trials", "1"], "error: need at least 2 trials, got 1\n"),
+])
+def test_simulate_rejects_bad_eps_and_trials(flags, message, capsys):
+    rc, stdout, stderr = run(["simulate", "--family", "hamming", "--r", "3", *flags], capsys)
+    assert rc == 1
+    assert stdout == ""
+    assert stderr == message

@@ -176,3 +176,15 @@ def test_parse_rejects_malformed():
         codes.parse('{"name": "x"}')
     with pytest.raises(CodeError):
         codes.parse('{"name": "x", "n": 4, "dim": 1, "generator_rows": ["111"]}')
+
+
+def test_parse_rejects_integer_rows():
+    with pytest.raises(CodeError, match="list of '01' strings"):
+        codes.parse('{"name": "x", "n": 3, "dim": 1, "generator_rows": [111]}')
+    with pytest.raises(CodeError, match="must be integers"):
+        codes.parse('{"name": "x", "n": 4.0, "dim": 1, "generator_rows": ["1011"]}')
+
+
+def test_parse_zero_dim_reports_document_n():
+    with pytest.raises(CodeError, match="dim=0, n=4"):
+        codes.parse('{"name": "x", "n": 4, "dim": 0, "generator_rows": []}')

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import bewc
 from bewc import codes, equivocation as eq, gf2
-from bewc.equivocation import ErasurePattern, Observation, _PatternEntropy
+from bewc.equivocation import ErasurePattern, Observation, PatternEntropy
 
 from conftest import random_code
 
@@ -58,18 +58,44 @@ def test_pattern_entropy_within_erasure_bound(mask, seed):
         h < eq.pattern_entropy_upper(code.n, code.k, pat.mu) + 1
 
 
+def _packed_erased(n, masks):
+    """(N, ⌈n/8⌉) little-endian packed erased-position masks."""
+    nbytes = (n + 7) // 8
+    return np.array([list(m.to_bytes(nbytes, "little")) for m in masks], dtype=np.uint8)
+
+
+def _assert_kernel_matches_generator_formula(code, erased_masks):
+    got = PatternEntropy(code)(_packed_erased(code.n, erased_masks))
+    full = (1 << code.n) - 1
+    want = [bewc.pattern_equivocation(code, ErasurePattern.from_mask(code.n, full ^ m))
+            for m in erased_masks]
+    assert got.tolist() == want
+
+
 def test_dual_side_entropy_equivalence():
-    # The parity-check-side shortcut must agree with the generator formula.
+    # An (8,5) code is scored on its H side (k = 3 <= dim = 5) and its (8,3)
+    # dual on its G side; both must agree with k − µ + rank(G_µ) on every mask.
     for seed in range(8):
         code = random_code(8, 5, seed=seed)
-        ent_g = _PatternEntropy(code, eps=0.0)
-        ent_h = _PatternEntropy(code, eps=1.0)
-        assert ent_g.use_g != ent_h.use_g or code.dim == code.k
-        for mask in range(256):
-            pat = ErasurePattern.from_mask(8, 255 ^ mask)
-            expected = bewc.pattern_equivocation(code, pat)
-            assert ent_g.from_erased_mask(mask) == expected
-            assert ent_h.from_erased_mask(mask) == expected
+        dual = bewc.from_generator(code.H, "dual")
+        assert PatternEntropy(code).h_side and not PatternEntropy(dual).h_side
+        for c in (code, dual):
+            _assert_kernel_matches_generator_formula(c, range(256))
+
+
+def test_entropy_kernel_scalar_path_and_long_codes():
+    rng = np.random.default_rng(21)
+
+    def sample_masks(n, count):
+        # Erasure densities from 0 to 1, so both elimination sides are taken.
+        return [sum(1 << int(i) for i in np.flatnonzero(rng.random(n) < j / (count - 1)))
+                for j in range(count)]
+
+    scalar = random_code(30, 15, seed=2)
+    assert PatternEntropy(scalar).span is None  # min(k, dim) > SPAN_MAX_DIM
+    _assert_kernel_matches_generator_formula(scalar, sample_masks(30, 300))
+    for code in (bewc.hamming_base(7), bewc.simplex_base(7)):  # two 64-bit words
+        _assert_kernel_matches_generator_formula(code, sample_masks(127, 120))
 
 
 # ---------------------------------------------------------------- oracle
@@ -213,6 +239,36 @@ def test_mc_validates_arguments():
         bewc.mc_equivocation(h3, 0.3, 1, seed=1)
     with pytest.raises(ValueError):
         bewc.mc_equivocation(h3, -0.1, 100, seed=1)
+
+
+# mean.hex() and stddev.hex() recorded while each pattern was still scored by
+# its own elimination.  Cases: H side (hamming, random (31,26)), G side
+# (simplex), patterns wider than 64 bits (n = 127) and the scalar
+# elimination path (random (40,20)); 40000 trials span three batches.
+MC_PINS = {  # id: (code, ε (None: ε = R), seed, mean.hex(), stddev.hex())
+    "hamming-5": (lambda: bewc.hamming_base(5), None, 1,
+                  "0x1.01474538ef34dp+2", "0x1.19d557515d2d9p+0"),
+    "simplex-5": (lambda: bewc.simplex_base(5), 0.3, 2,
+                  "0x1.2957dbf487fccp+3", "0x1.475314ae07cb0p+1"),
+    "random-31-26-eps0.7": (lambda: random_code(31, 26, seed=3), 0.7, 3,
+                            "0x1.4000000000000p+2", "0x0.0p+0"),
+    "random-31-26-eps0.1": (lambda: random_code(31, 26, seed=3), 0.1, 7,
+                            "0x1.5a04189374bc7p+1", "0x1.4e3045d7028fdp+0"),
+    "hamming-7": (lambda: bewc.hamming_base(7), None, 4,
+                  "0x1.6ef06f6944674p+2", "0x1.5f1bc28ceefa4p+0"),
+    "simplex-7": (lambda: bewc.simplex_base(7), 0.5, 8,
+                  "0x1.fc13d07c84b5ep+5", "0x1.68a462b057bfep+2"),
+    "random-40-20": (lambda: random_code(40, 20, seed=5), 0.5, 5,
+                     "0x1.2733d07c84b5ep+4", "0x1.cc044d6fe9dbfp+0"),
+}
+
+
+@pytest.mark.parametrize("case", MC_PINS)
+def test_mc_estimates_pinned(case):
+    make, eps, seed, mean_hex, stddev_hex = MC_PINS[case]
+    code = make()
+    est = bewc.mc_equivocation(code, code.rate if eps is None else eps, 40000, seed=seed)
+    assert (est.mean.hex(), est.stddev.hex()) == (mean_hex, stddev_hex)
 
 
 # ---------------------------------------------------------------- bounds

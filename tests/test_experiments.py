@@ -59,6 +59,22 @@ def test_session_consistent_with_exact():
     assert abs(rep.mean_equivocation - exact) < 4 * rep.stderr
 
 
+def test_session_pinned():
+    # Recorded while each pattern was still scored by its own elimination.
+    rep = bewc.simulate_session(bewc.hamming_base(4), 4 / 15, trials=20000, seed=6)
+    assert rep.bob_success_rate == 1.0
+    assert rep.mean_equivocation.hex() == "0x1.998adab9f559bp+1"
+    assert rep.stderr.hex() == "0x1.b68bf21e8ad71p-8"
+
+
+def test_session_validates_arguments():
+    h3 = bewc.hamming_base(3)
+    with pytest.raises(ValueError, match=r"eps must be in \[0, 1\], got 1.5"):
+        bewc.simulate_session(h3, 1.5, trials=10, seed=1)
+    with pytest.raises(ValueError, match="need at least 2 trials, got 1"):
+        bewc.simulate_session(h3, 0.3, trials=1, seed=1)
+
+
 # ---------------------------------------------------------------- search
 
 def test_exhaustive_search_small():
