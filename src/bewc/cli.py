@@ -82,7 +82,11 @@ def _resolve_code(args) -> CodeSpec:
 def _grid(args) -> list[float]:
     if getattr(args, "eps", None):
         return list(args.eps)
-    npts = getattr(args, "grid", None) or 99
+    npts = getattr(args, "grid", None)
+    if npts is None:
+        npts = 99
+    elif npts < 1:
+        raise UsageError(f"--grid must be a positive number of points, got {npts}")
     return [round(i / (npts + 1), 12) for i in range(1, npts + 1)]
 
 

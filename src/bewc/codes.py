@@ -101,9 +101,9 @@ class RandomCodeParams:
 
 def from_generator(rows: BitMatrix, name: str = "custom") -> CodeSpec:
     """Build a CodeSpec from an explicit full-rank generator."""
-    if gf2.rank(rows) != rows.nrows:
-        raise CodeError("generator rows are linearly dependent")
     H = gf2.null_space(rows)
+    if rows.cols - H.nrows != rows.nrows:  # rank(G) = n − dim(null space)
+        raise CodeError("generator rows are linearly dependent")
     return CodeSpec(name=name, n=rows.cols, dim=rows.nrows, G=rows, H=H)
 
 

@@ -110,18 +110,19 @@ ARGMAX_TIE_TOL = 1e-12
 def exhaustive_search(n: int, dim: int, grid: Sequence[float]) -> SearchResult:
     """Exact curves for every dim-dimensional base code in GF(2)^n.
 
-    Each subspace's rank profile costs 2^n rank computations; curve values
-    for the whole grid then come from one matrix product.
+    Each subspace's rank profile is one O(n·2^n) subset-sum transform over
+    its 2^min(k, dim) dual or code words; curve values for the whole grid
+    then come from one matrix product.
     """
     grid = tuple(grid)
     k = n - dim
     gens: list[BitMatrix] = []
-    coeffs: list[np.ndarray] = []
+    coeffs: list[tuple[float, ...]] = []
     for g in codes.enumerate_subspaces(n, dim):
         code = codes.from_generator(g, name="search")
         prof = eq.rank_profile(code)
         gens.append(g)
-        coeffs.append(prof.entropy_coefficients())
+        coeffs.append(prof.coefficients)
     a = np.array(coeffs)  # (num_codes, n+1)
     eps_col = np.array(grid + (k / n,))  # gap point appended
     mus = np.arange(n + 1)

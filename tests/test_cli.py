@@ -81,6 +81,16 @@ def test_curve_csv_schema_and_rate_consistency(tmp_path, capsys):
         assert float(rate) <= min(float(epsv), s3.rate) + 1e-9
 
 
+@pytest.mark.parametrize("npts", ["0", "-2"])
+def test_curve_rejects_nonpositive_grid(tmp_path, capsys, npts):
+    out = tmp_path / "c.csv"
+    rc, stdout, stderr = run(["curve", "--family", "hamming", "--r", "3",
+                              "--method", "exact", "--grid", npts, "-o", str(out)], capsys)
+    assert rc == 1
+    assert stderr == f"error: --grid must be a positive number of points, got {npts}\n"
+    assert stdout == "" and not out.exists()
+
+
 def test_curve_explicit_eps_endpoints(tmp_path, capsys):
     out = tmp_path / "c.csv"
     rc, _, _ = run(["curve", "--family", "hamming", "--r", "3",

@@ -100,6 +100,12 @@ def test_from_generator_rejects_rank_deficient():
         bewc.from_generator(BitMatrix.from_strings(["1010", "1010"]))
 
 
+@pytest.mark.parametrize("rows", [["1010", "1010"], ["1100", "0110", "1010"], ["0000", "1001"]])
+def test_from_generator_dependent_rows_message(rows):
+    with pytest.raises(CodeError, match="^generator rows are linearly dependent$"):
+        bewc.from_generator(BitMatrix.from_strings(rows))
+
+
 def test_from_generator_rejects_full_dimension():
     with pytest.raises(CodeError):
         bewc.from_generator(BitMatrix.identity(4))

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 
@@ -170,6 +171,62 @@ def test_rank_profile_column_permutation_invariance():
     assert bewc.rank_profile(permuted).counts == bewc.rank_profile(code).counts
 
 
+def _dual(code):
+    return bewc.from_generator(code.H, f"{code.name}-dual")
+
+
+def test_rank_profile_matches_pattern_tally():
+    # The profile is built from subset sums of dual (H side) or code (G side)
+    # words; each (µ, r) count must equal the per-pattern rank tally.
+    rng = np.random.default_rng(31)
+    for n in range(2, 11):
+        dims = {1, n - 1, int(rng.integers(1, n))}
+        for dim in sorted(dims):
+            code = random_code(n, dim, seed=n * 100 + dim)
+            for c in (code, _dual(code)):
+                want = {}
+                for mask in range(1 << n):
+                    pat = ErasurePattern.from_mask(n, mask)
+                    key = (pat.mu, bewc.pattern_equivocation(c, pat) - c.k + pat.mu)
+                    want[key] = want.get(key, 0) + 1
+                assert bewc.rank_profile(c).counts == want, (n, c.dim)
+
+
+@pytest.mark.parametrize("n, dim", [(17, 5), (17, 12), (18, 4), (18, 14)])
+def test_rank_profile_blocked_matches_kernel_tally(n, dim):
+    # n > ZETA_LOW_BITS: the subset-sum table is built one block of high bits
+    # at a time; the batched entropy kernel scores the same 2^n patterns.
+    assert n > eq.ZETA_LOW_BITS
+    code = random_code(n, dim, seed=n + dim)
+    erased = np.arange(1 << n, dtype="<u8")
+    packed = erased.view(np.uint8).reshape(-1, 8)[:, : (n + 7) // 8]
+    mu = n - np.unpackbits(packed, axis=1).sum(axis=1, dtype=np.int64)
+    r = PatternEntropy(code)(packed) - code.k + mu
+    tally = np.bincount(mu * (dim + 1) + r, minlength=(n + 1) * (dim + 1))
+    want = {divmod(i, dim + 1): c for i, c in enumerate(tally.tolist()) if c}
+    assert bewc.rank_profile(code).counts == want
+
+
+def test_rank_profile_duality_identity_n22():
+    # E_{C⊥}(1 − ε) = E_C(ε) + n(1 − ε) − k for a (22,11) code and its dual.
+    code = random_code(22, 11, seed=4)
+    prof, dual_prof = bewc.rank_profile(code), bewc.rank_profile(_dual(code))
+    n, k = code.n, code.k
+    for eps in (0.05, 0.3, 0.5, 0.77, 0.95):
+        lhs = bewc.exact_equivocation(dual_prof, 1 - eps)
+        rhs = bewc.exact_equivocation(prof, eps) + n * (1 - eps) - k
+        assert abs(lhs - rhs) <= 1e-12
+
+
+def test_rank_profile_does_not_score_patterns(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("rank_profile scored patterns one by one")
+
+    monkeypatch.setattr(eq, "PatternEntropy", refuse)
+    monkeypatch.setattr(eq, "pattern_equivocation", refuse)
+    assert sum(bewc.rank_profile(random_code(18, 9, seed=1)).counts.values()) == 1 << 18
+
+
 # ---------------------------------------------------------------- exact evaluation
 
 def test_exact_equivocation_endpoints(ex1):
@@ -200,6 +257,38 @@ def test_exact_equivocation_rejects_bad_eps(ex1):
     prof = bewc.rank_profile(ex1)
     with pytest.raises(ValueError):
         bewc.exact_equivocation(prof, 1.5)
+
+
+# SHA-256 over the ","-joined bits.hex() of the 99-point default-grid exact
+# curve, and gap.hex() of the exact achievability gap, recorded while the
+# rank profile was still tallied pattern by pattern through the entropy kernel.
+EXACT_PINS = {  # id: (code, curve SHA-256, gap.hex())
+    "hamming-4": (lambda: bewc.hamming_base(4),
+                  "316768b20be545dfd7815b3f7efd030e1cf0bb5b3e629bb43c00e157b6091109",
+                  "0x1.b118d0c295270p-5"),
+    "simplex-4": (lambda: bewc.simplex_base(4),
+                  "1dc6a750f36e03b68161b7a7f270dd61abbe943c24a5fc2049fac09130c52da3",
+                  "0x1.b118d0c295270p-5"),
+    "random-16-8": (lambda: random_code(16, 8, seed=1),
+                    "62ad8ac35be467429f3dac19359165a827a1ef153c514303fa00bd3bf86273df",
+                    "0x1.097c000000000p-4"),
+    "random-16-8-dual": (lambda: _dual(random_code(16, 8, seed=1)),
+                         "7b421e9e9c19bf0f6e3a5c7e9926bcbacf46cc84253dc8a0ed9490de71f53aa5",
+                         "0x1.097c000000000p-4"),
+    "random-18-3": (lambda: random_code(18, 3, seed=2),
+                    "fbf67429222e558ba01abdc7eb8bcb9976dfee1015705326b7203921144fdfe3",
+                    "0x1.b10b3b4fc80b0p-5"),
+}
+
+
+@pytest.mark.parametrize("case", EXACT_PINS)
+def test_exact_results_pinned(case):
+    make, curve_sha, gap_hex = EXACT_PINS[case]
+    code = make()
+    cv = bewc.curve(code, eq.DEFAULT_GRID, method="exact")
+    digest = hashlib.sha256(",".join(p.bits.hex() for p in cv.points).encode()).hexdigest()
+    assert digest == curve_sha
+    assert bewc.achievability_gap(code, method="exact").gap.hex() == gap_hex
 
 
 # ---------------------------------------------------------------- Monte Carlo
