@@ -2,36 +2,30 @@
 """Achievability-gap tables for the Hamming and simplex families.
 
 Exact evaluation up to n = 15; Monte Carlo (N = 10^6 by default) for
-n = 31 and 63.  Writes one CSV per family.
+n = 31 and 63.  Writes gaps_<family>.csv, the CSV of `bewc sweep`.
 """
 
 import argparse
+import sys
 from pathlib import Path
 
-from bewc import experiments
+from bewc import cli
 
 
-def main() -> None:
+def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--trials", type=int, default=10**6)
-    ap.add_argument("--seed", type=int, default=0x5EC0DE)
+    ap.add_argument("--seed", type=int, default=cli.DEFAULT_SEED)
     ap.add_argument("--outdir", type=Path, default=Path("results"))
     args = ap.parse_args()
-
-    args.outdir.mkdir(parents=True, exist_ok=True)
     for family in ("hamming", "simplex"):
-        reports = experiments.family_sweep(
-            family, [3, 4, 5, 6], method="auto", trials=args.trials, seed=args.seed
-        )
-        path = args.outdir / f"gaps_{family}.csv"
-        lines = ["blocklength,R,Ag,method"]
-        for r, rep in zip([3, 4, 5, 6], reports):
-            n = (1 << r) - 1
-            lines.append(f"{n},{rep.rate!r},{rep.gap!r},{rep.method}")
-            print(f"{family:8s} n={n:3d}  R={rep.rate:.4f}  Ag={rep.gap:.4f}  ({rep.method})")
-        path.write_text("\n".join(lines) + "\n")
-        print(f"wrote {path}")
+        argv = ["sweep", "--family", family, "--rs", "3", "4", "5", "6",
+                "--trials", str(args.trials), "--seed", str(args.seed),
+                "-o", str(args.outdir.resolve() / f"gaps_{family}.csv")]
+        if status := cli.main(argv):
+            return status
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -4,52 +4,36 @@
 Ten Bernoulli(0.5) random codes per configuration, Monte Carlo curves with
 95% confidence half-widths on the ensemble mean, compared against the
 (31,26) Hamming and (31,5) simplex base codes.  Pass --n63 to run the
-(63,57) variant instead of (31,26).
+(63,57) variant instead of (31,26).  Writes ensemble_<n>_<dim>.csv, the CSV
+of `bewc ensemble`.
 """
 
 import argparse
+import sys
 from pathlib import Path
 
-import bewc
+from bewc import cli
 
 
-def run(n, dim, reference, grid, trials, seed, outdir: Path) -> None:
-    rep = bewc.ensemble_study(
-        n=n, dim=dim, alpha=0.5, num_codes=10, grid=grid,
-        trials=trials, seed=seed, reference=reference,
-    )
-    ref = rep.reference_curve.rates()
-    out = outdir / f"ensemble_{n}_{dim}.csv"
-    lines = ["epsilon,mean_rate,best_rate,worst_rate,ci95_halfwidth,reference_rate"]
-    for j, e in enumerate(grid):
-        lines.append(
-            f"{e!r},{rep.mean_rates[j]!r},{rep.best_rates[j]!r},"
-            f"{rep.worst_rates[j]!r},{rep.ci95_halfwidth[j]!r},{ref[j]!r}"
-        )
-    out.write_text("\n".join(lines) + "\n")
-    r = reference.rate
-    j = min(range(len(grid)), key=lambda i: abs(grid[i] - r))
-    print(f"({n},{dim}) vs {reference.name}: at eps≈R reference {ref[j]:.5f}, "
-          f"ensemble mean {rep.mean_rates[j]:.5f} ± {rep.ci95_halfwidth[j]:.5f}")
-    print(f"wrote {out}")
-
-
-def main() -> None:
+def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--trials", type=int, default=10**5)
-    ap.add_argument("--seed", type=int, default=0x5EC0DE)
+    ap.add_argument("--seed", type=int, default=cli.DEFAULT_SEED)
     ap.add_argument("--grid-points", type=int, default=19)
     ap.add_argument("--n63", action="store_true", help="use (63,57) instead of (31,26)")
     ap.add_argument("--outdir", type=Path, default=Path("results"))
     args = ap.parse_args()
-    args.outdir.mkdir(parents=True, exist_ok=True)
-    grid = [round(i / (args.grid_points + 1), 6) for i in range(1, args.grid_points + 1)]
-    if args.n63:
-        run(63, 57, bewc.hamming_base(6), grid, args.trials, args.seed, args.outdir)
-    else:
-        run(31, 26, bewc.hamming_base(5), grid, args.trials, args.seed, args.outdir)
-    run(31, 5, bewc.simplex_base(5), grid, args.trials, args.seed, args.outdir)
+    hamming = (63, 57, 6) if args.n63 else (31, 26, 5)
+    for family, (n, dim, r) in (("hamming", hamming), ("simplex", (31, 5, 5))):
+        argv = ["ensemble", "--n", str(n), "--dim", str(dim), "--alpha", "0.5", "--codes", "10",
+                "--reference-family", family, "--reference-r", str(r),
+                "--grid", str(args.grid_points), "--trials", str(args.trials),
+                "--seed", str(args.seed),
+                "-o", str(args.outdir.resolve() / f"ensemble_{n}_{dim}.csv")]
+        if status := cli.main(argv):
+            return status
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

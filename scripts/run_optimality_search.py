@@ -9,26 +9,20 @@ the full per-code curve matrix for plotting.
 import argparse
 from pathlib import Path
 
-import numpy as np
-
 import bewc
-from bewc import codes
+from bewc import cli, codes, equivocation as eq
 
 
 def run(n: int, dim: int, family_code, outdir: Path) -> None:
-    grid = [round(0.01 * i, 2) for i in range(1, 100)]
-    res = bewc.exhaustive_search(n, dim, grid)
+    res = bewc.exhaustive_search(n, dim, eq.DEFAULT_GRID)
     canon = codes.canonical_generator(family_code.G)
     idx = next(i for i, g in enumerate(res.generators) if g.rows == canon.rows)
     everywhere = all(idx in s for s in res.argmax_per_eps)
     print(f"({n},{dim}): {res.count} codes; {family_code.name} argmax at every eps: "
           f"{everywhere}; its Ag {res.gaps[idx]:.5f} vs min {res.gaps.min():.5f}")
     out = outdir / f"search_{n}_{dim}_rates.csv"
-    header = "generator," + ",".join(str(e) for e in grid)
-    rows = [header]
-    for i, g in enumerate(res.generators):
-        rows.append(";".join(g.row_strings()) + "," + ",".join(repr(v) for v in res.rates[i]))
-    out.write_text("\n".join(rows) + "\n")
+    rows = [[";".join(g.row_strings()), *res.rates[i]] for i, g in enumerate(res.generators)]
+    out.write_text(cli.csv_text(["generator", *eq.DEFAULT_GRID], rows))
     print(f"wrote {out}")
 
 

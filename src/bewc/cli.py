@@ -16,9 +16,11 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 from pathlib import Path
-from typing import Optional
+from typing import Any, Iterable, Optional, Sequence
+
+import numpy as np
 
 from . import codes, coset, equivocation as eq, experiments
 from .codes import CodeError, CodeSpec, GuardError, RandomCodeParams
@@ -37,19 +39,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse defaults to exit code 2
         self.print_usage(sys.stderr)
         raise UsageError(message)
-
-
-def _fmt(x: Optional[float]) -> str:
-    return "" if x is None else repr(float(x))
-
-
-def _out_path(path: Optional[str]) -> Optional[Path]:
-    if path is None:
-        return None
-    p = Path(path)
-    if p.is_absolute():
-        return p
-    return Path(os.environ.get(OUTPUT_DIR_ENV, ".")) / p
 
 
 def _add_code_source(p: argparse.ArgumentParser) -> None:
@@ -97,7 +86,10 @@ def _config_echo(args) -> dict:
     return {k: v for k, v in sorted(vars(args).items()) if k not in skip}
 
 
-def _write(path: Optional[Path], text: str) -> None:
+def _write(args, text: str, default: Optional[Path] = None) -> None:
+    # Joining keeps an absolute -o as it is; a relative one lands in $BEWC_OUTPUT_DIR.
+    base = Path(os.environ.get(OUTPUT_DIR_ENV, "."))
+    path = default if args.output is None else base / args.output
     if path is None:
         return
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -105,35 +97,31 @@ def _write(path: Optional[Path], text: str) -> None:
     print(f"wrote {path}")
 
 
-def _curve_rows(cv: eq.EquivocationCurve) -> list[str]:
-    rows = [CURVE_CSV_HEADER]
-    for p in cv.points:
-        rows.append(
-            ",".join(
-                [
-                    _fmt(p.eps),
-                    _fmt(p.bits),
-                    _fmt(p.rate),
-                    _fmt(p.stderr),
-                    _fmt(p.ci95_lo),
-                    _fmt(p.ci95_hi),
-                    cv.method,
-                ]
-            )
-        )
-    return rows
+def _cell(x: Any) -> str:
+    if x is None:
+        return ""
+    if isinstance(x, (float, np.floating)):
+        return repr(float(x))
+    return str(x)
 
 
-def _curve_json(cv: eq.EquivocationCurve, args) -> str:
-    return json.dumps(
-        {
-            "config": _config_echo(args),
-            "code": cv.code_name,
-            "method": cv.method,
-            "points": [asdict(p) for p in cv.points],
-        },
-        indent=2,
-    ) + "\n"
+def csv_text(header: Sequence[str], rows: Iterable[Sequence[Any]]) -> str:
+    """A CSV table: floats as `repr(float(x))`, None as an empty cell."""
+    return "".join(",".join(map(_cell, row)) + "\n" for row in [header, *rows])
+
+
+def _json(args, **fields) -> None:
+    """Write the JSON result document: the config echo, then `fields`."""
+    doc = {"config": _config_echo(args), **fields}
+    _write(args, json.dumps(doc, indent=2) + "\n")
+
+
+def _emit(args, key: str, records: list[dict], **head) -> None:
+    """Write `records` as CSV columns named by their keys, or as JSON list `key`."""
+    if args.format == "json":
+        _json(args, **head, **{key: records})
+    else:
+        _write(args, csv_text(list(records[0]), [r.values() for r in records]))
 
 
 # ---------------------------------------------------------------- commands
@@ -142,9 +130,7 @@ def _curve_json(cv: eq.EquivocationCurve, args) -> str:
 def cmd_code(args) -> int:
     if args.action == "make":
         code = _resolve_code(args)
-        doc = codes.serialize(code)
-        path = _out_path(args.output) or Path(f"{code.name}.json")
-        _write(path, doc)
+        _write(args, codes.serialize(code), Path(f"{code.name}.json"))
         print(f"{code.name}: n={code.n} dim={code.dim} k={code.k} R={code.rate:.6f}")
         return 0
     if args.action == "show":
@@ -159,7 +145,8 @@ def cmd_code(args) -> int:
         if code.n <= 16:
             print(coset.codebook(code).format_table())
         return 0
-    # validate
+    if args.file is None:
+        raise UsageError("code validate requires a code FILE")
     try:
         code = codes.parse(Path(args.file).read_text())
     except CodeError as e:
@@ -173,10 +160,11 @@ def cmd_curve(args) -> int:
     code = _resolve_code(args)
     cv = eq.curve(code, _grid(args), method=args.method, trials=args.trials, seed=args.seed)
     if args.format == "json":
-        text = _curve_json(cv, args)
+        _json(args, code=cv.code_name, method=cv.method, points=[asdict(p) for p in cv.points])
     else:
-        text = "\n".join(_curve_rows(cv)) + "\n"
-    _write(_out_path(args.output), text)
+        rows = [(p.eps, p.bits, p.rate, p.stderr, p.ci95_lo, p.ci95_hi, cv.method)
+                for p in cv.points]
+        _write(args, csv_text(CURVE_CSV_HEADER.split(","), rows))
     gap_pt = min(cv.points, key=lambda p: abs(p.eps - code.rate))
     print(
         f"{code.name} ({cv.method}): {len(cv.points)} points, "
@@ -188,17 +176,9 @@ def cmd_curve(args) -> int:
 def cmd_gap(args) -> int:
     code = _resolve_code(args)
     rep = eq.achievability_gap(code, method=args.method, trials=args.trials, seed=args.seed)
-    payload = {
-        "config": _config_echo(args),
-        "code": rep.code_name,
-        "R": rep.rate,
-        "equivocation_rate_at_R": rep.equivocation_rate_at_r,
-        "Ag": rep.gap,
-        "method": rep.method,
-    }
-    if rep.estimate is not None:
-        payload["estimate"] = asdict(rep.estimate)
-    _write(_out_path(args.output), json.dumps(payload, indent=2) + "\n")
+    estimate = {} if rep.estimate is None else {"estimate": asdict(rep.estimate)}
+    _json(args, code=rep.code_name, R=rep.rate, equivocation_rate_at_R=rep.equivocation_rate_at_r,
+          Ag=rep.gap, method=rep.method, **estimate)
     print(f"Ag = {rep.gap:.4f}")
     return 0
 
@@ -207,25 +187,12 @@ def cmd_sweep(args) -> int:
     reports = experiments.family_sweep(
         args.family, args.rs, method=args.method, trials=args.trials, seed=args.seed
     )
-    lines = ["blocklength,R,Ag,method"]
-    for r, rep in zip(args.rs, reports):
-        n = (1 << r) - 1
-        lines.append(f"{n},{_fmt(rep.rate)},{_fmt(rep.gap)},{rep.method}")
-        print(f"{args.family} n={n}: R={rep.rate:.4f} Ag={rep.gap:.4f} ({rep.method})")
-    if args.format == "json":
-        text = json.dumps(
-            {
-                "config": _config_echo(args),
-                "rows": [
-                    {"blocklength": (1 << r) - 1, "R": rep.rate, "Ag": rep.gap, "method": rep.method}
-                    for r, rep in zip(args.rs, reports)
-                ],
-            },
-            indent=2,
-        ) + "\n"
-    else:
-        text = "\n".join(lines) + "\n"
-    _write(_out_path(args.output), text)
+    rows = [{"blocklength": (1 << r) - 1, "R": rep.rate, "Ag": rep.gap, "method": rep.method}
+            for r, rep in zip(args.rs, reports)]
+    for row in rows:
+        print(f"{args.family} n={row['blocklength']}: R={row['R']:.4f} Ag={row['Ag']:.4f} "
+              f"({row['method']})")
+    _emit(args, "rows", rows)
     return 0
 
 
@@ -236,33 +203,21 @@ def cmd_search(args) -> int:
     print(f"examined {res.count} ({args.n},{args.dim}) codes")
     print(f"min Ag = {res.gaps[best]:.4f} at generator {' '.join(gen.row_strings())}")
     if args.format == "json":
-        text = json.dumps(
-            {
-                "config": _config_echo(args),
-                "count": res.count,
-                "min_Ag": float(res.gaps[best]),
-                "best_generator": gen.row_strings(),
-                "ranking_top10": [
-                    {
-                        "generator": res.generators[i].row_strings(),
-                        "Ag": float(res.gaps[i]),
-                    }
-                    for i in res.ranking[:10]
-                ],
-            },
-            indent=2,
-        ) + "\n"
+        top10 = [{"generator": res.generators[i].row_strings(), "Ag": float(res.gaps[i])}
+                 for i in res.ranking[:10]]
+        _json(args, count=res.count, min_Ag=float(res.gaps[best]),
+              best_generator=gen.row_strings(), ranking_top10=top10)
     else:
-        lines = ["rank,Ag,generator"]
-        for pos, i in enumerate(res.ranking):
-            lines.append(f"{pos},{_fmt(float(res.gaps[i]))},{' '.join(res.generators[i].row_strings())}")
-        text = "\n".join(lines) + "\n"
-    _write(_out_path(args.output), text)
+        rows = [(pos, res.gaps[i], " ".join(res.generators[i].row_strings()))
+                for pos, i in enumerate(res.ranking)]
+        _write(args, csv_text(["rank", "Ag", "generator"], rows))
     return 0
 
 
 def cmd_ensemble(args) -> int:
     if args.reference_family is not None:
+        if args.reference_r is None:
+            raise UsageError("--reference-family requires --reference-r")
         reference = experiments.FAMILY_BUILDERS[args.reference_family](args.reference_r)
     elif args.reference_file is not None:
         reference = codes.parse(Path(args.reference_file).read_text())
@@ -278,43 +233,19 @@ def cmd_ensemble(args) -> int:
         seed=args.seed,
         reference=reference,
     )
-    lines = ["epsilon,mean_rate,best_rate,worst_rate,ci95_halfwidth,reference_rate"]
     ref_rates = rep.reference_curve.rates()
-    for j, epsv in enumerate(rep.grid):
-        lines.append(
-            ",".join(
-                [
-                    _fmt(epsv),
-                    _fmt(float(rep.mean_rates[j])),
-                    _fmt(float(rep.best_rates[j])),
-                    _fmt(float(rep.worst_rates[j])),
-                    _fmt(float(rep.ci95_halfwidth[j])),
-                    _fmt(float(ref_rates[j])),
-                ]
-            )
-        )
-    if args.format == "json":
-        text = json.dumps(
-            {
-                "config": _config_echo(args),
-                "reference": reference.name,
-                "points": [
-                    {
-                        "epsilon": epsv,
-                        "mean_rate": float(rep.mean_rates[j]),
-                        "best_rate": float(rep.best_rates[j]),
-                        "worst_rate": float(rep.worst_rates[j]),
-                        "ci95_halfwidth": float(rep.ci95_halfwidth[j]),
-                        "reference_rate": float(ref_rates[j]),
-                    }
-                    for j, epsv in enumerate(rep.grid)
-                ],
-            },
-            indent=2,
-        ) + "\n"
-    else:
-        text = "\n".join(lines) + "\n"
-    _write(_out_path(args.output), text)
+    points = [
+        {
+            "epsilon": epsv,
+            "mean_rate": float(rep.mean_rates[j]),
+            "best_rate": float(rep.best_rates[j]),
+            "worst_rate": float(rep.worst_rates[j]),
+            "ci95_halfwidth": float(rep.ci95_halfwidth[j]),
+            "reference_rate": float(ref_rates[j]),
+        }
+        for j, epsv in enumerate(rep.grid)
+    ]
+    _emit(args, "points", points, reference=reference.name)
     mid = len(rep.grid) // 2
     print(
         f"ensemble of {args.codes} random ({args.n},{args.dim}) codes vs {reference.name}: "
@@ -327,8 +258,7 @@ def cmd_ensemble(args) -> int:
 def cmd_simulate(args) -> int:
     code = _resolve_code(args)
     rep = experiments.simulate_session(code, args.eps, args.trials, args.seed)
-    payload = {"config": _config_echo(args), **asdict(rep)}
-    _write(_out_path(args.output), json.dumps(payload, indent=2) + "\n")
+    _json(args, **asdict(rep))
     print(
         f"{code.name} @eps={args.eps:g}: bob_success={rep.bob_success_rate:.4f} "
         f"mean_equivocation={rep.mean_equivocation:.4f} bits (stderr {rep.stderr:.4f})"
@@ -349,7 +279,8 @@ def build_parser() -> _Parser:
                         help="accepted and ignored; results do not depend on it")
         sp.add_argument("-o", "--output", help="output file (relative paths land in "
                         f"${OUTPUT_DIR_ENV} when set)")
-        sp.add_argument("--format", choices=["csv", "json"], default="csv")
+        sp.add_argument("--format", choices=["csv", "json"], default="csv",
+                        help="table format; gap, simulate and code always write JSON")
         if grid:
             sp.add_argument("--grid", type=int, help="number of uniform eps points (default 99)")
             sp.add_argument("--eps", type=float, nargs="+", help="explicit eps values")
@@ -413,10 +344,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except UsageError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except (CodeError, ValueError, FileNotFoundError) as e:
+    except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except GuardError as e:

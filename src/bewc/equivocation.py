@@ -282,6 +282,14 @@ def check_mc_args(eps: float, trials: int) -> None:
         raise ValueError(f"eps must be in [0, 1], got {eps}")
 
 
+def check_grid(grid: Sequence[float]) -> None:
+    """Reject a grid that is not strictly increasing inside [0, 1]."""
+    if any(not 0.0 <= e <= 1.0 for e in grid):
+        raise ValueError("grid values must lie in [0, 1]")
+    if any(b <= a for a, b in zip(grid, grid[1:])):
+        raise ValueError("grid must be strictly increasing")
+
+
 def mc_equivocation(
     code: CodeSpec, eps: float, trials: int, seed: int, batch: int = MC_BATCH
 ) -> McEstimate:
@@ -383,10 +391,7 @@ def curve(
 ) -> EquivocationCurve:
     """Equivocation at each ε of a strictly increasing grid in [0, 1]."""
     grid = list(grid)
-    if any(not 0.0 <= e <= 1.0 for e in grid):
-        raise ValueError("grid values must lie in [0, 1]")
-    if any(b <= a for a, b in zip(grid, grid[1:])):
-        raise ValueError("grid must be strictly increasing")
+    check_grid(grid)
     method = resolve_method(method, code.n)
     n = code.n
     points = []

@@ -115,6 +115,7 @@ def exhaustive_search(n: int, dim: int, grid: Sequence[float]) -> SearchResult:
     then come from one matrix product.
     """
     grid = tuple(grid)
+    eq.check_grid(grid)
     k = n - dim
     gens: list[BitMatrix] = []
     coeffs: list[tuple[float, ...]] = []

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 import bewc
@@ -202,3 +203,37 @@ def test_simulate_rejects_bad_eps_and_trials(flags, message, capsys):
     assert rc == 1
     assert stdout == ""
     assert stderr == message
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["code", "validate"], "error: code validate requires a code FILE\n"),
+    (["ensemble", "--n", "7", "--dim", "4", "--alpha", "0.5", "--reference-family", "hamming"],
+     "error: --reference-family requires --reference-r\n"),
+    (["search", "--n", "4", "--dim", "2", "--eps", "1.5"],
+     "error: grid values must lie in [0, 1]\n"),
+    (["search", "--n", "4", "--dim", "2", "--eps", "0.5", "0.2"],
+     "error: grid must be strictly increasing\n"),
+])
+def test_bad_arguments_give_one_line(argv, message, capsys):
+    rc, stdout, stderr = run(argv, capsys)
+    assert rc == 1
+    assert stdout == ""
+    assert stderr == message
+
+
+@pytest.mark.parametrize("argv", [
+    ["gap", "--code", "{dir}"],
+    ["ensemble", "--n", "7", "--dim", "4", "--alpha", "0.5", "--reference-file", "{dir}"],
+    ["code", "validate", "{dir}"],
+    ["gap", "--family", "hamming", "--r", "3", "--method", "exact", "-o", "{dir}"],
+])
+def test_directory_as_file_gives_one_line(argv, tmp_path, capsys):
+    rc, _, stderr = run([a.format(dir=tmp_path) for a in argv], capsys)
+    assert rc == 1
+    assert stderr.startswith("error: ") and stderr.count("\n") == 1
+    assert str(tmp_path) in stderr
+
+
+def test_csv_text_cells():
+    rows = [[np.float64(0.1), None, 3, "exact"], [0.25, np.float32(0.5), np.int64(7), ""]]
+    assert cli.csv_text(["a", "b", "c", "d"], rows) == "a,b,c,d\n0.1,,3,exact\n0.25,0.5,7,\n"

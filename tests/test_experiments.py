@@ -153,3 +153,15 @@ def test_family_sweep_guard_and_override():
 def test_family_sweep_unknown_family():
     with pytest.raises(ValueError):
         bewc.family_sweep("golay", [3])
+
+
+@pytest.mark.parametrize("grid, message", [
+    ([1.5, 0.2, 0.1], "grid values must lie in [0, 1]"),
+    ([-0.1, 0.5], "grid values must lie in [0, 1]"),
+    ([0.5, 0.2], "grid must be strictly increasing"),
+    ([0.3, 0.3], "grid must be strictly increasing"),
+])
+def test_exhaustive_search_rejects_bad_grid(grid, message):
+    with pytest.raises(ValueError) as err:
+        bewc.exhaustive_search(4, 2, grid)
+    assert str(err.value) == message
