@@ -14,7 +14,7 @@ from .codes import (
     serialize,
     simplex_base,
 )
-from .coset import Codebook, EncoderMatrices, build_encoder, codebook, decode, encode, encode_random
+from .coset import Codebook, EncoderMatrices, build_encoder, codebook, decode, encode
 from .equivocation import (
     EquivocationCurve,
     ErasurePattern,
@@ -24,7 +24,6 @@ from .equivocation import (
     RankProfile,
     achievability_gap,
     curve,
-    equivocation_bounds,
     exact_equivocation,
     mc_equivocation,
     observation_equivocation_oracle,
@@ -32,10 +31,8 @@ from .equivocation import (
     rank_profile,
 )
 from .experiments import (
-    ChannelParams,
     EnsembleReport,
     SearchResult,
-    bec_transmit,
     ensemble_study,
     exhaustive_search,
     family_sweep,

@@ -87,11 +87,12 @@ def _config_echo(args) -> dict:
 
 
 def _write(args, text: str, default: Optional[Path] = None) -> None:
-    # Joining keeps an absolute -o as it is; a relative one lands in $BEWC_OUTPUT_DIR.
-    base = Path(os.environ.get(OUTPUT_DIR_ENV, "."))
-    path = default if args.output is None else base / args.output
-    if path is None:
+    # Joining keeps an absolute -o as it is; a relative one, or the default
+    # name, lands in $BEWC_OUTPUT_DIR.
+    name = default if args.output is None else args.output
+    if name is None:
         return
+    path = Path(os.environ.get(OUTPUT_DIR_ENV, ".")) / name
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(text)
     print(f"wrote {path}")
@@ -215,14 +216,15 @@ def cmd_search(args) -> int:
 
 
 def cmd_ensemble(args) -> int:
-    if args.reference_family is not None:
-        if args.reference_r is None:
-            raise UsageError("--reference-family requires --reference-r")
-        reference = experiments.FAMILY_BUILDERS[args.reference_family](args.reference_r)
-    elif args.reference_file is not None:
+    if (args.reference_family is None) == (args.reference_file is None):
+        raise UsageError("specify exactly one reference source: "
+                         "--reference-family/--reference-r or --reference-file")
+    if args.reference_file is not None:
         reference = codes.parse(Path(args.reference_file).read_text())
+    elif args.reference_r is None:
+        raise UsageError("--reference-family requires --reference-r")
     else:
-        raise UsageError("need --reference-family/--reference-r or --reference-file")
+        reference = experiments.FAMILY_BUILDERS[args.reference_family](args.reference_r)
     rep = experiments.ensemble_study(
         n=args.n,
         dim=args.dim,

@@ -54,6 +54,12 @@ def make_rng(seed: int, *indices) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def check_shape(n: int, dim: int) -> None:
+    """Reject an (n, dim) pair that no base code has."""
+    if not 1 <= dim < n:
+        raise CodeError(f"need 1 <= dim < n, got dim={dim}, n={n}")
+
+
 @dataclass(frozen=True)
 class CodeSpec:
     """An (n, n−k) base code: generator G (dim×n), parity check H (k×n)."""
@@ -73,8 +79,7 @@ class CodeSpec:
         return self.k / self.n
 
     def __post_init__(self) -> None:
-        if not 1 <= self.dim < self.n:
-            raise CodeError(f"need 1 <= dim < n, got dim={self.dim}, n={self.n}")
+        check_shape(self.n, self.dim)
         if self.G.nrows != self.dim or self.G.cols != self.n:
             raise CodeError("G has wrong shape")
         if self.H.nrows != self.k or self.H.cols != self.n:

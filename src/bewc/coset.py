@@ -52,14 +52,6 @@ def encode(enc: EncoderMatrices, m: BitVec, v: BitVec) -> BitVec:
     return gf2.vec_mat_mul(m, enc.gprime) ^ gf2.vec_mat_mul(v, code.G)
 
 
-def encode_random(enc: EncoderMatrices, m: BitVec, rng: np.random.Generator) -> BitVec:
-    """Encode m with v drawn uniformly from {0,1}^(n−k)."""
-    nk = enc.code.dim
-    raw = rng.bytes((nk + 7) // 8)
-    v = BitVec(nk, int.from_bytes(raw, "little") & ((1 << nk) - 1))
-    return encode(enc, m, v)
-
-
 def decode(enc: EncoderMatrices, y: BitVec) -> BitVec:
     """Syndrome decoding: m = y·Hᵀ.  Assumes y arrived erasure-free."""
     code = enc.code
@@ -81,16 +73,13 @@ class Codebook:
     """All 2^k cosets listed explicitly; coset index = syndrome of any member."""
 
     code: CodeSpec
-    cosets: tuple[tuple[int, ...], ...]
-
-    def coset_of(self, word: int) -> int:
-        return syndrome(self.code, word).word
+    cosets: np.ndarray  # (2^k, 2^dim): row m holds coset m's words, ascending
 
     def format_table(self) -> str:
         """Message-by-codewords table (one row per coset)."""
         n = self.code.n
         lines = ["m | codewords"]
-        for m, coset in enumerate(self.cosets):
+        for m, coset in enumerate(self.cosets.tolist()):
             words = " ".join(format(w, f"0{n}b")[::-1] for w in coset)
             lines.append(f"{m} | {words}")
         return "\n".join(lines)
@@ -101,7 +90,9 @@ def codebook(code: CodeSpec) -> Codebook:
         raise GuardError(
             f"explicit codebook needs n <= {CODEBOOK_GUARD_N}, got n={code.n}"
         )
-    cosets: list[list[int]] = [[] for _ in range(1 << code.k)]
-    for w in range(1 << code.n):
-        cosets[syndrome(code, w).word].append(w)
-    return Codebook(code=code, cosets=tuple(tuple(c) for c in cosets))
+    # syn[w] = w·Hᵀ, the XOR of H's columns at w's set bits, by doubling.
+    syn = np.zeros(1, dtype=np.int64)
+    for col in gf2.column_ints(code.H):
+        syn = np.concatenate([syn, syn ^ col])
+    words = np.argsort(syn, kind="stable")  # grouped by syndrome, ascending within
+    return Codebook(code=code, cosets=words.reshape(1 << code.k, -1))

@@ -23,13 +23,12 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import gf2
-from .codes import CodeSpec, GuardError, derive_seed
+from .codes import CodeSpec, GuardError, derive_seed, make_rng
 from .coset import Codebook, codebook
 
 # Bounds the real cost of `rank_profile`: O(n·2^n) time in 2^15-entry blocks
 # whatever min(k, dim) is, 0.3 s at n = 24 and 6 s at n = 28 (2-vCPU VM).
 RANK_PROFILE_GUARD_N = 28
-ORACLE_GUARD_N = 16
 MC_BATCH = 1 << 14
 CI95 = 1.96
 
@@ -107,12 +106,10 @@ def observation_equivocation_oracle(
     """
     if z.n != code.n:
         raise gf2.DimensionError(f"observation n={z.n} but code n={code.n}")
-    if code.n > ORACLE_GUARD_N:
-        raise GuardError(f"coset-counting oracle needs n <= {ORACLE_GUARD_N}")
     if book is None:
         book = codebook(code)
     mask, word = z.revealed_mask_and_word()
-    counts = [sum(1 for w in coset if (w & mask) == word) for coset in book.cosets]
+    counts = np.count_nonzero((book.cosets & mask) == word, axis=1).tolist()
     total = sum(counts)
     return -sum((c / total) * math.log2(c / total) for c in counts if c)
 
@@ -189,7 +186,6 @@ class PatternEntropy:
 class RankProfile:
     """N(µ, r): revealed-subset counts by size µ and generator-submatrix rank r."""
 
-    code_name: str
     n: int
     dim: int
     counts: dict[tuple[int, int], int]
@@ -247,7 +243,7 @@ def rank_profile(code: CodeSpec) -> RankProfile:
         log_f = np.frexp(f)[1] - 1
         tally += np.bincount(base + (step * hi.bit_count() - log_f), minlength=tally.size)
     counts = {divmod(i, dim + 1): c for i, c in enumerate(tally.tolist()) if c}
-    return RankProfile(code_name=code.name, n=n, dim=dim, counts=counts)
+    return RankProfile(n=n, dim=dim, counts=counts)
 
 
 def exact_equivocation(profile: RankProfile, eps: float) -> float:
@@ -306,7 +302,7 @@ def mc_equivocation(
     s = ss = 0
     for bindex, start in enumerate(range(0, trials, batch)):
         size = min(batch, trials - start)
-        rng = np.random.Generator(np.random.Philox(key=derive_seed(seed, bindex)))
+        rng = make_rng(seed, bindex)
         erased = rng.random((size, code.n)) < eps
         h = ent(np.packbits(erased, axis=1, bitorder="little"))
         s += int(h.sum())
@@ -324,18 +320,6 @@ def mc_equivocation(
         ci95_hi=mean + CI95 * stderr,
         seed=seed,
     )
-
-
-def pattern_entropy_upper(n: int, k: int, mu: int) -> int:
-    """Per-pattern ceiling: entropy never exceeds min(k, number of erasures)."""
-    return min(k, n - mu)
-
-
-def equivocation_bounds(n: int, k: int, eps: float) -> tuple[float, float]:
-    """(lower, upper) bounds on H(M|Z) in bits: 0 and n·min(ε, k/n)."""
-    if not 0.0 <= eps <= 1.0:
-        raise ValueError(f"eps must be in [0, 1], got {eps}")
-    return 0.0, n * min(eps, k / n)
 
 
 @dataclass(frozen=True)
@@ -370,12 +354,11 @@ class GapReport:
 
 DEFAULT_GRID = tuple(round(0.01 * i, 2) for i in range(1, 100))
 DEFAULT_MC_TRIALS = 10**6
-EXACT_GUARD_N = RANK_PROFILE_GUARD_N
 
 
 def resolve_method(method: str, n: int) -> str:
     if method == "auto":
-        return "exact" if n <= EXACT_GUARD_N else "mc"
+        return "exact" if n <= RANK_PROFILE_GUARD_N else "mc"
     if method not in ("exact", "mc"):
         raise ValueError(f"unknown method {method!r}")
     return method

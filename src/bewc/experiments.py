@@ -10,32 +10,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from . import codes, coset, equivocation as eq
-from .codes import CodeSpec, GuardError, RandomCodeParams, derive_seed, make_rng
-from .equivocation import CI95, EquivocationCurve, GapReport, Observation
+from .codes import CodeSpec, RandomCodeParams, derive_seed, make_rng
+from .equivocation import CI95, EquivocationCurve, GapReport
 from .gf2 import BitMatrix, BitVec
-
-
-@dataclass(frozen=True)
-class ChannelParams:
-    eps: float
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.eps <= 1.0:
-            raise ValueError(f"eps must be in [0, 1], got {self.eps}")
-
-
-def bec_transmit(x: BitVec, ch: ChannelParams, rng: np.random.Generator) -> Observation:
-    """Erase each bit independently with probability ε."""
-    erased = rng.random(x.length) < ch.eps
-    return Observation(
-        "".join("?" if e else str(x.bit(i)) for i, e in enumerate(erased))
-    )
 
 
 @dataclass(frozen=True)
@@ -114,6 +96,7 @@ def exhaustive_search(n: int, dim: int, grid: Sequence[float]) -> SearchResult:
     its 2^min(k, dim) dual or code words; curve values for the whole grid
     then come from one matrix product.
     """
+    codes.check_shape(n, dim)
     grid = tuple(grid)
     eq.check_grid(grid)
     k = n - dim
@@ -212,7 +195,6 @@ def ensemble_study(
 
 
 FAMILY_BUILDERS = {"hamming": codes.hamming_base, "simplex": codes.simplex_base}
-SWEEP_MAX_R = 6
 
 
 def family_sweep(
@@ -221,7 +203,6 @@ def family_sweep(
     method: str = "auto",
     trials: int = eq.DEFAULT_MC_TRIALS,
     seed: int = 0,
-    allow_large: bool = False,
 ) -> list[GapReport]:
     """Achievability gap per blocklength for a Hamming or simplex family."""
     if family not in FAMILY_BUILDERS:
@@ -229,18 +210,9 @@ def family_sweep(
     build = FAMILY_BUILDERS[family]
     reports = []
     for i, r in enumerate(rs):
-        if r > SWEEP_MAX_R and not allow_large:
-            raise GuardError(
-                f"family sweep caps at r = {SWEEP_MAX_R} (n = 63); "
-                "pass allow_large to go further with MC"
-            )
-        code = build(r)
-        m = eq.resolve_method(method, code.n)
-        if r > SWEEP_MAX_R and m == "exact":
-            raise GuardError("large-r sweeps must use the mc method")
         reports.append(
             eq.achievability_gap(
-                code, method=m, trials=trials, seed=derive_seed(seed, "sweep", i)
+                build(r), method=method, trials=trials, seed=derive_seed(seed, "sweep", i)
             )
         )
     return reports

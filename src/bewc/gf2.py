@@ -53,9 +53,6 @@ class BitVec:
             raise IndexError(i)
         return (self.word >> i) & 1
 
-    def bits(self) -> list[int]:
-        return [(self.word >> i) & 1 for i in range(self.length)]
-
     def to01(self) -> str:
         return "".join("1" if (self.word >> i) & 1 else "0" for i in range(self.length))
 
@@ -63,9 +60,6 @@ class BitVec:
         if self.length != other.length:
             raise DimensionError("xor of different lengths")
         return BitVec(self.length, self.word ^ other.word)
-
-    def __int__(self) -> int:
-        return self.word
 
 
 @dataclass(frozen=True)
@@ -106,11 +100,6 @@ class BitMatrix:
     @classmethod
     def zeros(cls, nrows: int, cols: int) -> "BitMatrix":
         return cls(cols, (0,) * nrows)
-
-    def entry(self, i: int, j: int) -> int:
-        if not 0 <= j < self.cols:
-            raise IndexError(j)
-        return (self.rows[i] >> j) & 1
 
     def row(self, i: int) -> BitVec:
         return BitVec(self.cols, self.rows[i])
@@ -244,13 +233,6 @@ def vec_mat_mul(v: BitVec, m: BitMatrix) -> BitVec:
         acc ^= m.rows[i]
         w &= w - 1
     return BitVec(m.cols, acc)
-
-
-def mat_mul(a: BitMatrix, b: BitMatrix) -> BitMatrix:
-    """a·b over GF(2)."""
-    if a.cols != b.nrows:
-        raise DimensionError("inner dimensions disagree")
-    return BitMatrix(b.cols, tuple(vec_mat_mul(a.row(i), b).word for i in range(a.nrows)))
 
 
 def mul_transpose(a: BitMatrix, b: BitMatrix) -> BitMatrix:

@@ -25,6 +25,16 @@ def test_code_make_hamming(tmp_path, capsys):
     assert code.n == 7 and code.dim == 4
 
 
+def test_code_make_default_name_lands_in_output_dir(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv(cli.OUTPUT_DIR_ENV, "envdir")
+    rc, stdout, _ = run(["code", "make", "--family", "hamming", "--r", "3"], capsys)
+    assert rc == 0
+    assert stdout.startswith("wrote envdir/hamming-3.json\n")
+    assert codes.parse((tmp_path / "envdir" / "hamming-3.json").read_text()).n == 7
+    assert not (tmp_path / "hamming-3.json").exists()
+
+
 def test_code_show_prints_codebook(tmp_path, capsys, ex1):
     f = tmp_path / "ex1.json"
     f.write_text(codes.serialize(ex1))
@@ -213,12 +223,26 @@ def test_simulate_rejects_bad_eps_and_trials(flags, message, capsys):
      "error: grid values must lie in [0, 1]\n"),
     (["search", "--n", "4", "--dim", "2", "--eps", "0.5", "0.2"],
      "error: grid must be strictly increasing\n"),
+    (["ensemble", "--n", "7", "--dim", "4", "--alpha", "0.5", "--reference-family", "hamming",
+      "--reference-r", "3", "--reference-file", "/nonexistent"],
+     "error: specify exactly one reference source: "
+     "--reference-family/--reference-r or --reference-file\n"),
 ])
 def test_bad_arguments_give_one_line(argv, message, capsys):
     rc, stdout, stderr = run(argv, capsys)
     assert rc == 1
     assert stdout == ""
     assert stderr == message
+
+
+@pytest.mark.parametrize("n, dim", [(-1, 1), (3, 5), (4, 0), (4, 4)])
+def test_search_rejects_shape_without_code(n, dim, capsys):
+    rc, stdout, stderr = run(["search", "--n", str(n), "--dim", str(dim)], capsys)
+    assert rc == 1
+    assert stdout == ""
+    assert stderr == f"error: need 1 <= dim < n, got dim={dim}, n={n}\n"
+    with pytest.raises(codes.CodeError):
+        bewc.exhaustive_search(n, dim, [0.5])
 
 
 @pytest.mark.parametrize("argv", [

@@ -112,31 +112,6 @@ def test_round_trip_random_codes_exhaustive(n, dim, seed):
     assert len(seen) == 1 << n  # encoding is a bijection
 
 
-# ---------------------------------------------------------------- random encoding
-
-def test_encode_random_uniform_over_coset(ex1):
-    enc = bewc.build_encoder(ex1)
-    rng = codes.make_rng(2024)
-    m = BitVec(2, 2)
-    counts = {}
-    trials = 10**5
-    for _ in range(trials):
-        w = bewc.encode_random(enc, m, rng).word
-        counts[w] = counts.get(w, 0) + 1
-    assert len(counts) == 4
-    for c in counts.values():
-        assert abs(c / trials - 0.25) < 0.01
-
-
-def test_encode_random_seeded_and_round_trips(ex1):
-    enc = bewc.build_encoder(ex1)
-    m = BitVec(2, 3)
-    a = bewc.encode_random(enc, m, codes.make_rng(7))
-    b = bewc.encode_random(enc, m, codes.make_rng(7))
-    assert a == b
-    assert bewc.decode(enc, a).word == 3
-
-
 # ---------------------------------------------------------------- codebook
 
 def test_codebook_table1_structure(ex1):

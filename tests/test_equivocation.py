@@ -55,8 +55,6 @@ def test_pattern_entropy_within_erasure_bound(mask, seed):
     pat = ErasurePattern.from_mask(9, mask)
     h = bewc.pattern_equivocation(code, pat)
     assert 0 <= h <= min(code.k, code.n - pat.mu)
-    assert h == eq.pattern_entropy_upper(code.n, code.k, pat.mu) or \
-        h < eq.pattern_entropy_upper(code.n, code.k, pat.mu) + 1
 
 
 def _packed_erased(n, masks):
@@ -358,14 +356,6 @@ def test_mc_estimates_pinned(case):
     code = make()
     est = bewc.mc_equivocation(code, code.rate if eps is None else eps, 40000, seed=seed)
     assert (est.mean.hex(), est.stddev.hex()) == (mean_hex, stddev_hex)
-
-
-# ---------------------------------------------------------------- bounds
-
-def test_bounds_examples():
-    assert bewc.equivocation_bounds(7, 3, 0.2) == (0.0, pytest.approx(1.4))
-    assert bewc.equivocation_bounds(7, 3, 0.9) == (0.0, pytest.approx(3.0))
-    assert bewc.equivocation_bounds(7, 3, 3 / 7)[1] == pytest.approx(3.0)
 
 
 # ---------------------------------------------------------------- curves and gaps

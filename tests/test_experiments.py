@@ -3,40 +3,8 @@ import pytest
 
 import bewc
 from bewc import codes, equivocation as eq, experiments
-from bewc.experiments import ChannelParams
-from bewc.gf2 import BitVec
 
 from conftest import random_code
-
-
-# ---------------------------------------------------------------- channel
-
-def test_bec_transmit_noiseless():
-    x = BitVec.from_string("1011001101")
-    obs = bewc.bec_transmit(x, ChannelParams(0.0), codes.make_rng(1))
-    assert obs.symbols == "1011001101"
-
-
-def test_bec_transmit_fully_erased():
-    x = BitVec.from_string("1011")
-    obs = bewc.bec_transmit(x, ChannelParams(1.0), codes.make_rng(1))
-    assert obs.symbols == "????"
-
-
-def test_bec_erasure_fraction():
-    x = BitVec.from_string("1011001101")
-    rng = codes.make_rng(42)
-    ch = ChannelParams(0.3)
-    erased = 0
-    trials = 10**5
-    for _ in range(trials):
-        erased += bewc.bec_transmit(x, ch, rng).symbols.count("?")
-    assert abs(erased / (trials * 10) - 0.3) < 0.01
-
-
-def test_channel_params_validation():
-    with pytest.raises(ValueError):
-        ChannelParams(1.5)
 
 
 # ---------------------------------------------------------------- sessions
@@ -143,11 +111,10 @@ def test_family_sweep_exact_small():
 
 
 def test_family_sweep_guard_and_override():
-    with pytest.raises(codes.GuardError):
-        bewc.family_sweep("hamming", [7], method="mc", trials=100, seed=1)
-    reports = bewc.family_sweep("hamming", [7], method="mc", trials=100, seed=1,
-                                allow_large=True)
+    reports = bewc.family_sweep("hamming", [7], trials=100, seed=1)
     assert reports[0].method == "mc"
+    with pytest.raises(codes.GuardError):
+        bewc.family_sweep("hamming", [5], method="exact", seed=1)
 
 
 def test_family_sweep_unknown_family():

@@ -192,14 +192,3 @@ def test_vec_mat_mul_selects_first_row():
 def test_vec_mat_mul_xors_rows():
     m = BitMatrix.from_strings(["1001", "0110"])
     assert gf2.vec_mat_mul(BitVec.from_bits([1, 1]), m).to01() == "1111"
-
-
-@given(bitmatrix())
-def test_mat_mul_identity(m):
-    assert gf2.mat_mul(m, BitMatrix.identity(m.cols)) == m
-    assert gf2.mat_mul(BitMatrix.identity(m.nrows), m) == m
-
-
-def test_mat_mul_dimension_mismatch():
-    with pytest.raises(gf2.DimensionError):
-        gf2.mat_mul(BitMatrix.identity(3), BitMatrix.identity(4))
