@@ -8,9 +8,9 @@ the reference).  Sampled patterns are scored by one batched kernel,
 
 Exact equivocation tallies all 2^n erasure patterns into a rank profile
 N(µ, r) with one subset-sum transform over the words of C⊥ or C, never
-scoring a pattern on its own, and then evaluates the resulting polynomial
-in ε.  Beyond the 2^n budget, an unbiased Monte Carlo estimator samples
-patterns.
+scoring a pattern on its own; `equivocation_bits`, the one evaluator of the
+resulting polynomial in ε, serves points, curves, gaps and searches alike.
+Beyond the 2^n budget, an unbiased Monte Carlo estimator samples patterns.
 """
 
 from __future__ import annotations
@@ -246,17 +246,34 @@ def rank_profile(code: CodeSpec) -> RankProfile:
     return RankProfile(n=n, dim=dim, counts=counts)
 
 
-def exact_equivocation(profile: RankProfile, eps: float) -> float:
-    """H(M|Z) in bits: Σ N(µ, r)·ε^(n−µ)(1−ε)^µ·(k − µ + r)."""
-    if not 0.0 <= eps <= 1.0:
-        raise ValueError(f"eps must be in [0, 1], got {eps}")
-    n = profile.n
-    # Ascending µ keeps the accumulation friendly at small ε.
-    total = 0.0
-    for mu, a in enumerate(profile.coefficients):
-        if a:
-            total += a * eps ** (n - mu) * (1.0 - eps) ** mu
+def equivocation_bits(
+    coefficients: Sequence[Sequence[float]], grid: Sequence[float]
+) -> np.ndarray:
+    """H(M|Z) in bits of N codes at each ε of a grid, as an (N, len(grid)) array.
+
+    Evaluates Σ_µ a[µ]·ε^(n−µ)(1−ε)^µ for each row a of an (N, n + 1) stack of
+    `RankProfile.coefficients`.  Terms are added in ascending µ (friendly at
+    small ε) as (a·ε^(n−µ))·(1−ε)^µ, and each power is Python's float `**`, not
+    numpy's, so a value does not depend on which codes or points share a call.
+    """
+    a = np.asarray(coefficients, dtype=float)
+    grid = [float(eps) for eps in grid]  # np.float64 ** would be numpy's power
+    for eps in grid:
+        if not 0.0 <= eps <= 1.0:
+            raise ValueError(f"eps must be in [0, 1], got {eps}")
+    n = a.shape[1] - 1
+    total = np.zeros((len(a), len(grid)))
+    term = np.empty_like(total)
+    for mu in range(n + 1):
+        np.multiply(a[:, mu, None], [eps ** (n - mu) for eps in grid], out=term)
+        term *= [(1.0 - eps) ** mu for eps in grid]
+        total += term
     return total
+
+
+def exact_equivocation(profile: RankProfile, eps: float) -> float:
+    """H(M|Z) in bits at one ε: Σ N(µ, r)·ε^(n−µ)(1−ε)^µ·(k − µ + r)."""
+    return float(equivocation_bits([profile.coefficients], [eps])[0, 0])
 
 
 @dataclass(frozen=True)
@@ -286,22 +303,21 @@ def check_grid(grid: Sequence[float]) -> None:
         raise ValueError("grid must be strictly increasing")
 
 
-def mc_equivocation(
-    code: CodeSpec, eps: float, trials: int, seed: int, batch: int = MC_BATCH
-) -> McEstimate:
+def mc_equivocation(code: CodeSpec, eps: float, trials: int, seed: int) -> McEstimate:
     """Unbiased Monte Carlo estimate of H(M|Z) at erasure probability ε.
 
     Each trial samples an erasure pattern (each position erased w.p. ε) and
     scores the integer per-pattern entropy; sums are accumulated in exact
     integer arithmetic, so the result is independent of batching order.
-    Batch b draws from its own counter-derived stream, so any worker layout
-    reproduces the same estimate bit for bit.
+    Batch b, of MC_BATCH trials, draws from its own counter-derived stream, so
+    any worker layout reproduces the same estimate bit for bit; another batch
+    size would regroup the streams and change every estimate.
     """
     check_mc_args(eps, trials)
     ent = PatternEntropy(code)
     s = ss = 0
-    for bindex, start in enumerate(range(0, trials, batch)):
-        size = min(batch, trials - start)
+    for bindex, start in enumerate(range(0, trials, MC_BATCH)):
+        size = min(MC_BATCH, trials - start)
         rng = make_rng(seed, bindex)
         erased = rng.random((size, code.n)) < eps
         h = ent(np.packbits(erased, axis=1, bitorder="little"))
@@ -377,14 +393,13 @@ def curve(
     check_grid(grid)
     method = resolve_method(method, code.n)
     n = code.n
-    points = []
     if method == "exact":
         if profile is None:
             profile = rank_profile(code)
-        for eps in grid:
-            bits = exact_equivocation(profile, eps)
-            points.append(CurvePoint(eps=eps, bits=bits, rate=bits / n))
+        bits = equivocation_bits([profile.coefficients], grid)[0].tolist()
+        points = [CurvePoint(eps=eps, bits=b, rate=b / n) for eps, b in zip(grid, bits)]
     else:
+        points = []
         for i, eps in enumerate(grid):
             est = mc_equivocation(code, eps, trials, derive_seed(seed, "curve", i))
             points.append(

@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from . import codes, coset, equivocation as eq
-from .codes import CodeSpec, RandomCodeParams, derive_seed, make_rng
+from .codes import CodeSpec, GuardError, RandomCodeParams, derive_seed, make_rng
 from .equivocation import CI95, EquivocationCurve, GapReport
 from .gf2 import BitMatrix, BitVec
 
@@ -87,16 +87,30 @@ class SearchResult:
 
 
 ARGMAX_TIE_TOL = 1e-12
+# Bounds the real cost of `exhaustive_search`: one rank profile over 2^n
+# subsets per subspace, [n choose dim]_2 · 2^n subsets in all.  Every (8, dim)
+# shape fits ((8,4): 5.1·10^7); (20,1) would be 1.1·10^12, about 7 h.
+SEARCH_SUBSET_BUDGET = 1 << 27
 
 
 def exhaustive_search(n: int, dim: int, grid: Sequence[float]) -> SearchResult:
     """Exact curves for every dim-dimensional base code in GF(2)^n.
 
     Each subspace's rank profile is one O(n·2^n) subset-sum transform over
-    its 2^min(k, dim) dual or code words; curve values for the whole grid
-    then come from one matrix product.
+    its 2^min(k, dim) dual or code words; `equivocation_bits` then evaluates
+    all profiles over the grid plus ε = R in one call, the same arithmetic
+    that `curve` and `achievability_gap` run for a single code.
     """
     codes.check_shape(n, dim)
+    # Each count is at least 2^n, so a large n is refused before the Gaussian
+    # binomial, which runs for over 30 s at (8000, 4000) on a 2-vCPU VM.
+    if n >= SEARCH_SUBSET_BUDGET.bit_length() or (
+        (codes.gaussian_binomial(n, dim) << n) > SEARCH_SUBSET_BUDGET
+    ):
+        raise GuardError(
+            f"searching all ({n},{dim}) codes tallies [n choose dim]_2 · 2^n subsets, "
+            f"over the search budget of {SEARCH_SUBSET_BUDGET}"
+        )
     grid = tuple(grid)
     eq.check_grid(grid)
     k = n - dim
@@ -104,16 +118,12 @@ def exhaustive_search(n: int, dim: int, grid: Sequence[float]) -> SearchResult:
     coeffs: list[tuple[float, ...]] = []
     for g in codes.enumerate_subspaces(n, dim):
         code = codes.from_generator(g, name="search")
-        prof = eq.rank_profile(code)
         gens.append(g)
-        coeffs.append(prof.coefficients)
-    a = np.array(coeffs)  # (num_codes, n+1)
-    eps_col = np.array(grid + (k / n,))  # gap point appended
-    mus = np.arange(n + 1)
-    w = eps_col[:, None] ** (n - mus)[None, :] * (1.0 - eps_col[:, None]) ** mus[None, :]
-    bits = a @ w.T  # (num_codes, len(grid)+1)
-    rates = bits[:, : len(grid)] / n
-    gaps = k / n - bits[:, -1] / n
+        coeffs.append(eq.rank_profile(code).coefficients)
+    bits = eq.equivocation_bits(coeffs, grid + (k / n,))  # gap point appended
+    bits /= n
+    rates = bits[:, :-1]
+    gaps = k / n - bits[:, -1]
     argmax = []
     for j in range(len(grid)):
         col = rates[:, j]

@@ -257,6 +257,22 @@ def test_exact_equivocation_rejects_bad_eps(ex1):
         bewc.exact_equivocation(prof, 1.5)
 
 
+def _scalar_bits(profile, eps):
+    """The loop `equivocation_bits` must reproduce: ascending µ, Python powers."""
+    n, total = profile.n, 0.0
+    for mu, a in enumerate(profile.coefficients):
+        total += a * eps ** (n - mu) * (1.0 - eps) ** mu
+    return total
+
+
+def test_equivocation_bits_matches_scalar_loop_bit_for_bit():
+    profiles = [bewc.rank_profile(random_code(13, dim, seed=dim)) for dim in range(1, 13)]
+    grid = [0.0, *eq.DEFAULT_GRID, 1.0, 5 / 13, np.float64(0.37)]  # in any order
+    bits = eq.equivocation_bits([p.coefficients for p in profiles], grid)
+    assert bits.shape == (12, len(grid))
+    assert bits.tolist() == [[_scalar_bits(p, float(e)) for e in grid] for p in profiles]
+
+
 # SHA-256 over the ","-joined bits.hex() of the 99-point default-grid exact
 # curve, and gap.hex() of the exact achievability gap, recorded while the
 # rank profile was still tallied pattern by pattern through the entropy kernel.
@@ -308,14 +324,12 @@ def test_mc_close_to_exact():
     assert est.ci95_hi == pytest.approx(est.mean + 1.96 * est.stderr)
 
 
-def test_mc_deterministic_and_batch_independent():
+def test_mc_same_seed_same_estimate_other_seed_differs():
     h3 = bewc.hamming_base(3)
+    # 30000 trials span two MC_BATCH batches, each with its own stream.
     a = bewc.mc_equivocation(h3, 0.3, 30000, seed=9)
     b = bewc.mc_equivocation(h3, 0.3, 30000, seed=9)
     assert a == b
-    # Different batch size partitions the same per-batch streams differently,
-    # but the default batch size is part of the contract; check a custom one
-    # is still internally reproducible.
     c = bewc.mc_equivocation(h3, 0.3, 30000, seed=10)
     assert a != c
 
@@ -411,10 +425,3 @@ def test_gap_exact_guard():
     c = random_code(31, 26, seed=1)
     with pytest.raises(codes.GuardError):
         bewc.achievability_gap(c, method="exact")
-
-
-def test_perfect_code_would_have_zero_gap():
-    # Definitional: a curve sitting on min(eps, R) gives Ag = 0.
-    h3 = bewc.hamming_base(3)
-    r = h3.rate
-    assert r - min(r, r) == 0.0

@@ -67,6 +67,32 @@ def test_exhaustive_search_guard():
         bewc.exhaustive_search(40, 20, [0.5])
 
 
+@pytest.mark.parametrize("n, dim", [(20, 1), (22, 1), (2000, 1000), (8000, 4000)])
+def test_exhaustive_search_guard_bounds_profile_cost(n, dim, monkeypatch):
+    # (20,1) has only 2^20 − 1 subspaces, inside the enumeration guard, but
+    # each costs a 2^20-subset rank profile: the search must refuse up front,
+    # and at once even where the subspace count has thousands of digits.
+    def no_profile(code):
+        raise AssertionError("rank profile built before the guard")
+    monkeypatch.setattr(eq, "rank_profile", no_profile)
+    with pytest.raises(codes.GuardError):
+        bewc.exhaustive_search(n, dim, [0.5])
+
+
+def test_exhaustive_search_budget_admits_every_n8_shape():
+    for dim in range(1, 8):
+        assert codes.gaussian_binomial(8, dim) << 8 <= experiments.SEARCH_SUBSET_BUDGET
+
+
+def test_exhaustive_search_matches_curve_and_gap_bit_for_bit():
+    res = bewc.exhaustive_search(5, 2, eq.DEFAULT_GRID)
+    assert res.count == 155
+    for i, g in enumerate(res.generators):
+        code = codes.from_generator(g)
+        assert np.array_equal(res.rates[i], bewc.curve(code, eq.DEFAULT_GRID, "exact").rates())
+        assert res.gaps[i] == bewc.achievability_gap(code, "exact").gap
+
+
 # ---------------------------------------------------------------- ensembles
 
 def test_ensemble_single_code_degenerate():

@@ -3,6 +3,9 @@
 The pins hold the SHA-256 of every file the CLI writes, in both formats, at
 small sizes; the digests were recorded before the CSV and JSON writers were
 merged into `cli.csv_text` and `cli._json`, so any byte that changes fails.
+The `search` pins were re-recorded when the search moved from a matrix
+product to `equivocation.equivocation_bits`, the evaluator `curve` and `gap`
+use, which moved some values by at most 2.2e-16.
 """
 
 import hashlib
@@ -43,8 +46,8 @@ OUTPUT_PINS = {
     ("gap-mc", "json"): "aea8d9366543e1271cbbf2ad0a24ee68f1030d17722a6571d722aa2e30603e64",
     ("sweep", "csv"): "05beae4806eec0cf5e567185fbfb9bd03e21b038d8be96c560c51001ebea524e",
     ("sweep", "json"): "2a050b735e88f9c37116f715eb98f83574fda014f48fd87c08a52837dc716ab0",
-    ("search", "csv"): "6c6bb8f9267b4cdf54785f0bd5100d9fb3057cf2333eb5d857500294c703719c",
-    ("search", "json"): "58bf41396829d7abfcdc23ba4d184fe55aaa92d7734d0cd60d99e8b0fd0016f0",
+    ("search", "csv"): "bfc3999c3f2ff2f4aa5c62a9ea69ce803b309891a35d00538a0397364d049b74",
+    ("search", "json"): "4c15d99ae89e2aa6eeee81c4113117b585078722d02a43096661d4ad435452e9",
     ("ensemble", "csv"): "d6212a0bd258f8b166d2dda2e1e00062ed61173670b63dcbc6803360755b5c10",
     ("ensemble", "json"): "d52ede7887bf0db37b85f0d2a48e4086df656e8fc3f3cca3edd75636af293548",
     ("simulate", "csv"): "4386c56978212ccad9ad601daf24903b677487d160148b8a068c07efcc7b01ce",
