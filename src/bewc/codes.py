@@ -106,6 +106,7 @@ class RandomCodeParams:
 
 def from_generator(rows: BitMatrix, name: str = "custom") -> CodeSpec:
     """Build a CodeSpec from an explicit full-rank generator."""
+    check_shape(rows.cols, rows.nrows)  # before the O(n²) null space
     H = gf2.null_space(rows)
     if rows.cols - H.nrows != rows.nrows:  # rank(G) = n − dim(null space)
         raise CodeError("generator rows are linearly dependent")
@@ -176,10 +177,13 @@ def enumerate_subspaces(n: int, dim: int) -> Iterator[BitMatrix]:
 
     Enumerates pivot-column sets, then all fills of the free entries.
     """
-    total = gaussian_binomial(n, dim)
-    if total > SUBSPACE_ENUM_GUARD:
+    # [n choose dim]_2 ≥ 2^(dim·(n−dim)) refuses a huge shape before its count
+    # is computed, which takes over 30 s at (8000, 4000).
+    if (0 <= dim <= n and dim * (n - dim) >= SUBSPACE_ENUM_GUARD.bit_length()) or (
+        gaussian_binomial(n, dim) > SUBSPACE_ENUM_GUARD
+    ):
         raise GuardError(
-            f"{total} subspaces exceeds the enumeration guard ({SUBSPACE_ENUM_GUARD})"
+            f"the ({n},{dim}) subspaces outnumber the enumeration guard ({SUBSPACE_ENUM_GUARD})"
         )
     for pivots in combinations(range(n), dim):
         pivset = set(pivots)
@@ -225,6 +229,8 @@ def parse(text: str) -> CodeSpec:
         if key not in doc:
             raise CodeError(f"code document missing field {key!r}")
     n, rows = doc["n"], doc["generator_rows"]
+    if not isinstance(doc["name"], str):
+        raise CodeError("name must be a string")
     if type(n) is not int or type(doc["dim"]) is not int:
         raise CodeError("n and dim must be integers")
     if not isinstance(rows, list) or not all(isinstance(r, str) for r in rows):

@@ -30,6 +30,9 @@ from .coset import Codebook, codebook
 # whatever min(k, dim) is, 0.3 s at n = 24 and 6 s at n = 28 (2-vCPU VM).
 RANK_PROFILE_GUARD_N = 28
 MC_BATCH = 1 << 14
+# Float64 entries in `equivocation_bits`' scratch block (2 MB), so its memory
+# beyond the (codes, grid) result stays fixed however many codes it sums.
+EVAL_BLOCK_ENTRIES = 1 << 18
 CI95 = 1.96
 
 
@@ -255,6 +258,8 @@ def equivocation_bits(
     `RankProfile.coefficients`.  Terms are added in ascending µ (friendly at
     small ε) as (a·ε^(n−µ))·(1−ε)^µ, and each power is Python's float `**`, not
     numpy's, so a value does not depend on which codes or points share a call.
+    Rows are summed EVAL_BLOCK_ENTRIES // len(grid) at a time through one
+    block-sized scratch buffer.
     """
     a = np.asarray(coefficients, dtype=float)
     grid = [float(eps) for eps in grid]  # np.float64 ** would be numpy's power
@@ -262,12 +267,19 @@ def equivocation_bits(
         if not 0.0 <= eps <= 1.0:
             raise ValueError(f"eps must be in [0, 1], got {eps}")
     n = a.shape[1] - 1
+    # Row µ: ε^(n−µ) and (1−ε)^µ at each grid point.
+    erased = np.array([[eps ** (n - mu) for eps in grid] for mu in range(n + 1)])
+    revealed = np.array([[(1.0 - eps) ** mu for eps in grid] for mu in range(n + 1)])
     total = np.zeros((len(a), len(grid)))
-    term = np.empty_like(total)
-    for mu in range(n + 1):
-        np.multiply(a[:, mu, None], [eps ** (n - mu) for eps in grid], out=term)
-        term *= [(1.0 - eps) ** mu for eps in grid]
-        total += term
+    rows = max(1, EVAL_BLOCK_ENTRIES // max(1, len(grid)))
+    term = np.empty((min(rows, len(a)), len(grid)))
+    for lo in range(0, len(a), rows):
+        block = total[lo : lo + rows]
+        t = term[: len(block)]
+        for mu in range(n + 1):
+            np.multiply(a[lo : lo + rows, mu, None], erased[mu], out=t)
+            t *= revealed[mu]
+            block += t
     return total
 
 

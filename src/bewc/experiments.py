@@ -31,32 +31,70 @@ class SessionReport:
     seed: int
 
 
+# Trials per `_session_stream` chunk.  Even, so that no chunk starts on a
+# buffered uint32 half-word; small, so a chunk's arrays stay cache-sized.
+SESSION_CHUNK = 2048
+
+
+def _session_stream(rng: np.random.Generator, trials: int, mb: int, vb: int, n: int):
+    """Yield, chunk by chunk, exactly what per-trial `rng.bytes(mb)`,
+    `rng.bytes(vb)` and `rng.random(n)` calls would return: a list of m byte
+    strings, a list of v byte strings and an (N, n) array of doubles.
+
+    Each chunk is one `random_raw` read of 64-bit Philox words.  `bytes(L)`
+    draws ⌈L/4⌉ uint32s; a uint32 draw takes the low half of a fresh word and
+    buffers the high half for the next uint32 draw, across calls and trials.
+    A double is (word >> 11)·2^−53 of a fresh word and leaves the buffer
+    alone.  With c = ⌈mb/4⌉ + ⌈vb/4⌉ uint32s per trial, each pair of trials
+    reads ⌈c/2⌉ uint32 words, n doubles, ⌊c/2⌋ uint32 words, n doubles.
+    """
+    cm, cv = -(-mb // 4), -(-vb // 4)
+    c = cm + cv
+    h0, h1 = (c + 1) // 2, c // 2
+    for start in range(0, trials, SESSION_CHUNK):
+        size = min(SESSION_CHUNK, trials - start)
+        pairs = (size + 1) // 2  # an odd last chunk reads one spare trial
+        raw = rng.bit_generator.random_raw(pairs * (c + 2 * n)).reshape(pairs, c + 2 * n)
+        halves = np.concatenate([raw[:, :h0], raw[:, h0 + n : h0 + n + h1]], axis=1)
+        # Low half first, as `bytes` reads its uint32s little-endian.
+        u32 = halves.astype("<u8", copy=False).view("<u4").reshape(2 * pairs, c)[:size]
+        mbuf, vbuf = u32[:, :cm].tobytes(), u32[:, cm:].tobytes()
+        words = np.stack([raw[:, h0 : h0 + n], raw[:, h0 + n + h1 :]], axis=1)
+        draws = (words.reshape(2 * pairs, n)[:size] >> np.uint64(11)) * 2.0**-53
+        yield (
+            [mbuf[i : i + mb] for i in range(0, len(mbuf), 4 * cm)],
+            [vbuf[i : i + vb] for i in range(0, len(vbuf), 4 * cv)],
+            draws,
+        )
+
+
 def simulate_session(code: CodeSpec, eps: float, trials: int, seed: int) -> SessionReport:
     """Full pipeline replica: encode random (m, v), Bob syndrome-decodes the
-    noiseless copy, Eve's observation is scored by per-pattern entropy,
-    MC_BATCH trials at a time (the RNG is read per trial: m, v, erasures)."""
+    noiseless copy, Eve's observation is scored by per-pattern entropy.
+
+    The stream contract is per trial: m from `rng.bytes(⌈k/8⌉)`, v from
+    `rng.bytes(⌈dim/8⌉)`, then the erasures from `rng.random(n)` < ε.
+    `_session_stream` reproduces those values bit for bit from one raw read
+    per SESSION_CHUNK trials, and each chunk's erasures are scored in one
+    `PatternEntropy` call; the codec still runs once per trial.
+    """
     eq.check_mc_args(eps, trials)
     enc = coset.build_encoder(code)
     ent = eq.PatternEntropy(code)
     n, k, dim = code.n, code.k, code.dim
+    mask_m, mask_v = (1 << k) - 1, (1 << dim) - 1
     rng = make_rng(seed, "session")
     bob_ok = 0
     s = ss = 0
-    draws = np.empty((min(trials, eq.MC_BATCH), n))
-    filled = 0
-    for t in range(trials):
-        m = BitVec(k, int.from_bytes(rng.bytes((k + 7) // 8), "little") & ((1 << k) - 1))
-        v = BitVec(dim, int.from_bytes(rng.bytes((dim + 7) // 8), "little") & ((1 << dim) - 1))
-        x = coset.encode(enc, m, v)
-        if coset.decode(enc, x) == m:
-            bob_ok += 1
-        rng.random(out=draws[filled])
-        filled += 1
-        if filled == len(draws) or t == trials - 1:
-            h = ent(np.packbits(draws[:filled] < eps, axis=1, bitorder="little"))
-            s += int(h.sum())
-            ss += int(h @ h)
-            filled = 0
+    for mbytes, vbytes, draws in _session_stream(rng, trials, (k + 7) // 8, (dim + 7) // 8, n):
+        for mb, vb in zip(mbytes, vbytes):
+            m = BitVec(k, int.from_bytes(mb, "little") & mask_m)
+            x = coset.encode(enc, m, BitVec(dim, int.from_bytes(vb, "little") & mask_v))
+            if coset.decode(enc, x) == m:
+                bob_ok += 1
+        h = ent(np.packbits(draws < eps, axis=1, bitorder="little"))
+        s += int(h.sum())
+        ss += int(h @ h)
     mean = s / trials
     var = (trials * ss - s * s) / (trials * (trials - 1))
     return SessionReport(

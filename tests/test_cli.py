@@ -59,6 +59,17 @@ def test_code_validate_rejects_integer_rows(tmp_path, capsys):
     assert stderr == "invalid: generator_rows must be a list of '01' strings\n"
 
 
+def test_code_validate_rejects_huge_zero_dim_before_null_space(tmp_path, capsys, monkeypatch):
+    def no_null_space(m):
+        raise AssertionError("null space computed before the shape check")
+    monkeypatch.setattr(bewc.gf2, "null_space", no_null_space)
+    f = tmp_path / "wide.json"
+    f.write_text('{"name":"x","n":60000,"dim":0,"generator_rows":[]}')
+    rc, _, stderr = run(["code", "validate", str(f)], capsys)
+    assert rc == 1
+    assert stderr == "invalid: need 1 <= dim < n, got dim=0, n=60000\n"
+
+
 def test_code_validate_accepts_good_file(tmp_path, capsys, ex1):
     f = tmp_path / "ok.json"
     f.write_text(codes.serialize(ex1))

@@ -1,4 +1,7 @@
+import json
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import bewc
 from bewc import codes, gf2
@@ -155,6 +158,25 @@ def test_enumerate_guard():
         next(codes.enumerate_subspaces(40, 20))
 
 
+@pytest.mark.parametrize("n, dim", [(2000, 1000), (8000, 4000)])
+def test_enumerate_guard_refuses_huge_shapes_without_the_count(n, dim, monkeypatch):
+    # 2^(dim·(n−dim)) bounds the count from below; the count itself has
+    # thousands of digits and takes over 30 s at (8000, 4000).
+    def no_count(n, d):
+        raise AssertionError("subspace count computed before the lower bound")
+    if n == 8000:
+        monkeypatch.setattr(codes, "gaussian_binomial", no_count)
+    with pytest.raises(codes.GuardError, match=r"enumeration guard \(10000000\)$"):
+        next(codes.enumerate_subspaces(n, dim))
+
+
+def test_enumerate_guard_message_omits_count_above_guard():
+    # (24, 1): the lower bound 2^23 passes, the count 2^24 − 1 does not.
+    with pytest.raises(codes.GuardError) as err:
+        next(codes.enumerate_subspaces(24, 1))
+    assert str((1 << 24) - 1) not in str(err.value)
+
+
 # ---------------------------------------------------------------- serialization
 
 def test_serialize_round_trip(ex1):
@@ -189,6 +211,55 @@ def test_parse_rejects_integer_rows():
         codes.parse('{"name": "x", "n": 3, "dim": 1, "generator_rows": [111]}')
     with pytest.raises(CodeError, match="must be integers"):
         codes.parse('{"name": "x", "n": 4.0, "dim": 1, "generator_rows": ["1011"]}')
+
+
+def test_from_generator_checks_shape_before_null_space(monkeypatch):
+    # A 60-byte document once built a 60,000-column null space (265 MB)
+    # before the dim = 0 shape was rejected.
+    def no_null_space(m):
+        raise AssertionError("null space computed before the shape check")
+    monkeypatch.setattr(gf2, "null_space", no_null_space)
+    with pytest.raises(CodeError, match="dim=0, n=60000"):
+        codes.parse('{"name":"x","n":60000,"dim":0,"generator_rows":[]}')
+
+
+_FIELD = st.one_of(st.none(), st.booleans(), st.integers(-3, 14), st.floats(-2, 14),
+                   st.text("01a", max_size=12), st.lists(st.integers(0, 1), max_size=3))
+
+
+@st.composite
+def code_documents(draw):
+    """Code documents with n ≤ 12: well-formed about half the time, else with
+    one field or row of another type, a row of another width or alphabet, a
+    row too many or too few, or a field missing."""
+    n = draw(st.integers(0, 12))
+    dim = draw(st.integers(0, n + 1))
+    doc = {"name": draw(st.text(max_size=4)), "n": n, "dim": dim,
+           "generator_rows": draw(st.lists(st.text("01", min_size=n, max_size=n),
+                                           min_size=dim, max_size=dim))}
+    fault = draw(st.sampled_from(["none"] * 8 + ["name", "n", "dim", "generator_rows", "row",
+                                                 "width", "count", "missing"]))
+    rows = doc["generator_rows"]
+    if fault in doc:
+        doc[fault] = draw(_FIELD)
+    elif fault in ("row", "width") and rows:
+        i = draw(st.integers(0, len(rows) - 1))
+        rows[i] = draw(_FIELD if fault == "row" else st.text("012", max_size=n + 1))
+    elif fault == "count":
+        doc["generator_rows"] = rows[1:] if rows and draw(st.booleans()) else rows + ["0" * n]
+    elif fault == "missing":
+        del doc[draw(st.sampled_from(sorted(doc)))]
+    return json.dumps(doc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(code_documents())
+def test_parse_fuzz_gives_code_or_code_error(text):
+    try:
+        code = codes.parse(text)
+    except CodeError:
+        return
+    assert codes.parse(codes.serialize(code)) == code
 
 
 def test_parse_zero_dim_reports_document_n():

@@ -273,6 +273,16 @@ def test_equivocation_bits_matches_scalar_loop_bit_for_bit():
     assert bits.tolist() == [[_scalar_bits(p, float(e)) for e in grid] for p in profiles]
 
 
+def test_equivocation_bits_blocks_match_single_rows(monkeypatch):
+    # Three rows per scratch block, so 12 codes take four blocks.
+    monkeypatch.setattr(eq, "EVAL_BLOCK_ENTRIES", 3 * len(eq.DEFAULT_GRID) + 1)
+    coeffs = [bewc.rank_profile(random_code(13, dim, seed=dim)).coefficients
+              for dim in range(1, 13)]
+    bits = eq.equivocation_bits(coeffs, eq.DEFAULT_GRID)
+    rows = [eq.equivocation_bits([a], eq.DEFAULT_GRID)[0] for a in coeffs]
+    assert (bits == np.array(rows)).all()
+
+
 # SHA-256 over the ","-joined bits.hex() of the 99-point default-grid exact
 # curve, and gap.hex() of the exact achievability gap, recorded while the
 # rank profile was still tallied pattern by pattern through the entropy kernel.

@@ -35,6 +35,43 @@ def test_session_pinned():
     assert rep.stderr.hex() == "0x1.b68bf21e8ad71p-8"
 
 
+@pytest.mark.parametrize("chunk", [2, 4, experiments.SESSION_CHUNK])
+def test_session_stream_matches_generator_calls(chunk, monkeypatch):
+    # The chunked raw read must return what per-trial Generator calls return;
+    # a numpy change to Philox's half-word buffering or to `bytes` fails here.
+    monkeypatch.setattr(experiments, "SESSION_CHUNK", chunk)
+    pick = np.random.default_rng(7)
+    # (k, dim): c = ⌈mb/4⌉ + ⌈vb/4⌉ even and odd, and k or dim above 32 and 64.
+    shapes = [(3, 4), (4, 11), (33, 5), (5, 40), (65, 2), (65, 40), (9, 70), (100, 33)]
+    shapes += [tuple(int(x) for x in pick.integers(1, 90, size=2)) for _ in range(3)]
+    for k, dim in shapes:
+        mb, vb = (k + 7) // 8, (dim + 7) // 8
+        n = int(pick.integers(1, 40))  # the reader's n need not be k + dim
+        trials = 2 * chunk + 3  # three chunks, the last ragged and odd
+        seed = int(pick.integers(1 << 63))
+        fast, slow = codes.make_rng(seed), codes.make_rng(seed)
+        read = 0
+        for mbytes, vbytes, draws in experiments._session_stream(fast, trials, mb, vb, n):
+            assert len(mbytes) == len(vbytes) == len(draws) <= chunk
+            for m, v, d in zip(mbytes, vbytes, draws):
+                assert m == slow.bytes(mb), (k, dim, read)
+                assert v == slow.bytes(vb), (k, dim, read)
+                assert d.tobytes() == slow.random(n).tobytes(), (k, dim, read)
+                read += 1
+        assert read == trials
+
+
+def test_session_report_independent_of_chunk_size(monkeypatch):
+    # k = 33, dim = 5: c = 2 + 1 is odd, so half-words carry between trials.
+    # 4099 trials: a ragged last chunk at every size.
+    code = random_code(38, 5, seed=3)
+    reports = []
+    for chunk in (2, 6, experiments.SESSION_CHUNK):
+        monkeypatch.setattr(experiments, "SESSION_CHUNK", chunk)
+        reports.append(bewc.simulate_session(code, 0.6, trials=4099, seed=5))
+    assert reports[0] == reports[1] == reports[2]
+
+
 def test_session_validates_arguments():
     h3 = bewc.hamming_base(3)
     with pytest.raises(ValueError, match=r"eps must be in \[0, 1\], got 1.5"):
