@@ -5,9 +5,9 @@ inspects base codes, `curve`/`gap` evaluate a single code, `sweep` walks a
 family, `search` runs the exhaustive subspace comparison, `ensemble` pits
 random codes against a reference, and `simulate` replays the full channel.
 
-Exit codes: 0 success, 1 usage error, 2 guard violation.  All randomness
-flows from --seed (default 0x5EC0DE), so identical invocations produce
-byte-identical output files.
+Exit codes: 0 success, 1 usage error, 2 guard violation (running out of
+memory included).  All randomness flows from --seed (default 0x5EC0DE), so
+identical invocations produce byte-identical output files.
 """
 
 from __future__ import annotations
@@ -351,6 +351,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 1
     except GuardError as e:
         print(f"guard violation: {e}", file=sys.stderr)
+        return 2
+    except MemoryError as e:  # numpy's message names the size it could not allocate
+        print(f"guard violation: out of memory{f': {e}' if str(e) else ''}", file=sys.stderr)
         return 2
 
 

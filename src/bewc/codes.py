@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Iterator
 
@@ -62,13 +62,17 @@ def check_shape(n: int, dim: int) -> None:
 
 @dataclass(frozen=True)
 class CodeSpec:
-    """An (n, n−k) base code: generator G (dim×n), parity check H (k×n)."""
+    """An (n, n−k) base code: generator G (dim×n), parity check H (k×n).
+
+    n and dim are G's shape, stored once here so per-trial callers read
+    plain attributes.
+    """
 
     name: str
-    n: int
-    dim: int
     G: BitMatrix
     H: BitMatrix
+    n: int = field(init=False)
+    dim: int = field(init=False)
 
     @property
     def k(self) -> int:
@@ -79,9 +83,9 @@ class CodeSpec:
         return self.k / self.n
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "n", self.G.cols)
+        object.__setattr__(self, "dim", self.G.nrows)
         check_shape(self.n, self.dim)
-        if self.G.nrows != self.dim or self.G.cols != self.n:
-            raise CodeError("G has wrong shape")
         if self.H.nrows != self.k or self.H.cols != self.n:
             raise CodeError("H has wrong shape")
         if gf2.rank(self.G) != self.dim:
@@ -102,6 +106,7 @@ class RandomCodeParams:
     def __post_init__(self) -> None:
         if not 0.0 < self.alpha < 1.0:
             raise CodeError(f"alpha must be in (0, 1), got {self.alpha}")
+        check_shape(self.n, self.dim)  # before any draw
 
 
 def from_generator(rows: BitMatrix, name: str = "custom") -> CodeSpec:
@@ -110,7 +115,7 @@ def from_generator(rows: BitMatrix, name: str = "custom") -> CodeSpec:
     H = gf2.null_space(rows)
     if rows.cols - H.nrows != rows.nrows:  # rank(G) = n − dim(null space)
         raise CodeError("generator rows are linearly dependent")
-    return CodeSpec(name=name, n=rows.cols, dim=rows.nrows, G=rows, H=H)
+    return CodeSpec(name, rows, H)
 
 
 def _nonzero_column_matrix(r: int) -> BitMatrix:
@@ -131,17 +136,14 @@ def hamming_base(r: int) -> CodeSpec:
     if not 2 <= r <= 8:
         raise CodeError(f"hamming r must be in [2, 8], got {r}")
     H = _nonzero_column_matrix(r)
-    G = gf2.null_space(H)
-    return CodeSpec(name=f"hamming-{r}", n=H.cols, dim=H.cols - r, G=G, H=H)
+    return CodeSpec(f"hamming-{r}", gf2.null_space(H), H)
 
 
 def simplex_base(r: int) -> CodeSpec:
     """(2^r−1, r) simplex base code; k = 2^r−1−r."""
     if not 2 <= r <= 8:
         raise CodeError(f"simplex r must be in [2, 8], got {r}")
-    G = _nonzero_column_matrix(r)
-    H = gf2.null_space(G)
-    return CodeSpec(name=f"simplex-{r}", n=G.cols, dim=r, G=G, H=H)
+    return from_generator(_nonzero_column_matrix(r), f"simplex-{r}")
 
 
 def random_base(p: RandomCodeParams) -> CodeSpec:
@@ -153,8 +155,7 @@ def random_base(p: RandomCodeParams) -> CodeSpec:
         rows = tuple(int.from_bytes(row.tobytes(), "little") for row in packed)
         G = BitMatrix(p.n, rows)
         if gf2.rank(G) == p.dim:
-            name = f"random-{p.n}-{p.dim}-{p.alpha:g}-{p.seed}"
-            return CodeSpec(name=name, n=p.n, dim=p.dim, G=G, H=gf2.null_space(G))
+            return from_generator(G, f"random-{p.n}-{p.dim}-{p.alpha:g}-{p.seed}")
     raise CodeError(
         f"no full-rank Bernoulli({p.alpha}) generator of shape "
         f"({p.dim}, {p.n}) in {RANDOM_RANK_ATTEMPTS} attempts"

@@ -27,19 +27,23 @@ class EncoderMatrices:
 
 
 def build_encoder(code: CodeSpec) -> EncoderMatrices:
-    """Construct G' by solving H·q_iᵀ = e_i with free variables zeroed.
+    """Construct G' from one elimination: RREF([H | I_k]) = [A·H | A].
 
-    H is full rank so each system is solvable; zeroing free variables makes
-    the result deterministic.  q_i·h_iᵀ = 1 already forces q_i outside the
-    base code, so no separate membership check is needed.
+    Row j of A·H has its pivot at column p_j, so q_i = XOR of e_{p_j} over the
+    j with A[j][i] = 1 solves H·q_iᵀ = e_i with every free variable zeroed,
+    a deterministic choice.  q_i·h_iᵀ = 1 already forces q_i outside the base
+    code, so no separate membership check is needed.
     """
-    k = code.k
-    rows = []
-    for i in range(k):
-        q = gf2.solve(code.H, BitVec(k, 1 << i))
-        assert q is not None  # H full rank
-        rows.append(q.word)
-    return EncoderMatrices(code=code, gprime=BitMatrix(code.n, tuple(rows)))
+    n, k = code.n, code.k
+    aug = BitMatrix(n + k, tuple(h | 1 << (n + i) for i, h in enumerate(code.H.rows)))
+    red, piv = gf2.rref(aug)
+    rows = [0] * k
+    for row, p in zip(red.rows, piv):  # H has full rank, so every pivot p < n
+        a = row >> n
+        for i in range(k):
+            if (a >> i) & 1:
+                rows[i] |= 1 << p
+    return EncoderMatrices(code=code, gprime=BitMatrix(n, tuple(rows)))
 
 
 def encode(enc: EncoderMatrices, m: BitVec, v: BitVec) -> BitVec:
@@ -57,11 +61,7 @@ def decode(enc: EncoderMatrices, y: BitVec) -> BitVec:
     code = enc.code
     if y.length != code.n:
         raise gf2.DimensionError(f"need |y|={code.n}, got {y.length}")
-    return syndrome(code, y.word)
-
-
-def syndrome(code: CodeSpec, word: int) -> BitVec:
-    s = 0
+    word, s = y.word, 0
     for i, h in enumerate(code.H.rows):
         if (word & h).bit_count() & 1:
             s |= 1 << i

@@ -142,9 +142,8 @@ def exhaustive_search(n: int, dim: int, grid: Sequence[float]) -> SearchResult:
     codes.check_shape(n, dim)
     # Each count is at least 2^n, so a large n is refused before the Gaussian
     # binomial, which runs for over 30 s at (8000, 4000) on a 2-vCPU VM.
-    if n >= SEARCH_SUBSET_BUDGET.bit_length() or (
-        (codes.gaussian_binomial(n, dim) << n) > SEARCH_SUBSET_BUDGET
-    ):
+    count = codes.gaussian_binomial(n, dim) if n < SEARCH_SUBSET_BUDGET.bit_length() else None
+    if count is None or (count << n) > SEARCH_SUBSET_BUDGET:
         raise GuardError(
             f"searching all ({n},{dim}) codes tallies [n choose dim]_2 · 2^n subsets, "
             f"over the search budget of {SEARCH_SUBSET_BUDGET}"
@@ -153,11 +152,10 @@ def exhaustive_search(n: int, dim: int, grid: Sequence[float]) -> SearchResult:
     eq.check_grid(grid)
     k = n - dim
     gens: list[BitMatrix] = []
-    coeffs: list[tuple[float, ...]] = []
-    for g in codes.enumerate_subspaces(n, dim):
-        code = codes.from_generator(g, name="search")
+    coeffs = np.empty((count, n + 1))  # one row of profile coefficients per code
+    for i, g in enumerate(codes.enumerate_subspaces(n, dim)):
         gens.append(g)
-        coeffs.append(eq.rank_profile(code).coefficients)
+        coeffs[i] = eq.rank_profile(codes.from_generator(g, name="search")).coefficients
     bits = eq.equivocation_bits(coeffs, grid + (k / n,))  # gap point appended
     bits /= n
     rates = bits[:, :-1]

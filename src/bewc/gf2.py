@@ -48,11 +48,6 @@ class BitVec:
             raise ValueError(f"not a bit string: {s!r}")
         return cls.from_bits(int(c) for c in s)
 
-    def bit(self, i: int) -> int:
-        if not 0 <= i < self.length:
-            raise IndexError(i)
-        return (self.word >> i) & 1
-
     def to01(self) -> str:
         return "".join("1" if (self.word >> i) & 1 else "0" for i in range(self.length))
 
@@ -189,22 +184,6 @@ def rref(m: BitMatrix) -> tuple[BitMatrix, list[int]]:
         pivot_cols.append(col)
         pr += 1
     return BitMatrix(m.cols, tuple(rows)), pivot_cols
-
-
-def solve(a: BitMatrix, b: BitVec):
-    """One solution x of a·x = b with free variables zeroed, or None."""
-    if b.length != a.nrows:
-        raise DimensionError("rhs length must equal row count")
-    # Augment each row with its rhs bit past the last column.
-    aug = BitMatrix(a.cols + 1, tuple(r | (b.bit(i) << a.cols) for i, r in enumerate(a.rows)))
-    red, piv = rref(aug)
-    if a.cols in piv:
-        return None  # a pivot in the rhs column: inconsistent
-    x = 0
-    for i, col in enumerate(piv):
-        if (red.rows[i] >> a.cols) & 1:
-            x |= 1 << col
-    return BitVec(a.cols, x)
 
 
 def null_space(m: BitMatrix) -> BitMatrix:

@@ -1,7 +1,12 @@
+import io
 import json
+import os
+from contextlib import redirect_stderr, redirect_stdout
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import bewc
 from bewc import cli, codes
@@ -272,3 +277,155 @@ def test_directory_as_file_gives_one_line(argv, tmp_path, capsys):
 def test_csv_text_cells():
     rows = [[np.float64(0.1), None, 3, "exact"], [0.25, np.float32(0.5), np.int64(7), ""]]
     assert cli.csv_text(["a", "b", "c", "d"], rows) == "a,b,c,d\n0.1,,3,exact\n0.25,0.5,7,\n"
+
+
+# ---------------------------------------------------------------- out of memory
+
+def test_random_shape_rejected_before_any_draw(capsys, monkeypatch):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("random generator drawn before the shape check")
+    monkeypatch.setattr(codes, "make_rng", no_draw)
+    rc, stdout, stderr = run(["gap", "--random", "--n", "3", "--dim", "5", "--alpha", "0.5"],
+                             capsys)
+    assert (rc, stdout) == (1, "")
+    assert stderr == "error: need 1 <= dim < n, got dim=5, n=3\n"
+
+
+@pytest.mark.parametrize("error, message", [
+    (MemoryError(), "guard violation: out of memory\n"),
+    # The text numpy's allocation failure carries, raised here without the allocation.
+    (MemoryError("Unable to allocate 72.8 TiB for an array with shape (1000000, 10000000) "
+                 "and data type float64"),
+     "guard violation: out of memory: Unable to allocate 72.8 TiB for an array with shape "
+     "(1000000, 10000000) and data type float64\n"),
+])
+def test_out_of_memory_is_a_guard_violation(error, message, capsys, monkeypatch):
+    def exhausted(params):
+        raise error
+    monkeypatch.setattr(codes, "random_base", exhausted)
+    rc, stdout, stderr = run(["gap", "--random", "--n", "10", "--dim", "5", "--alpha", "0.5"],
+                             capsys)
+    assert (rc, stdout) == (2, "")
+    assert stderr == message
+
+
+# ---------------------------------------------------------------- fuzz
+
+_FAMILIES = st.sampled_from(["hamming", "simplex"])
+_BAD_R = ["-1", "0", "1", "9", "zzz"]
+_BAD_FLOATS = ["nan", "inf", "-0.5", "1.5", "zzz", ""]
+_JUNK = ["--bogus", "zzz", "", "nan", "-1", "1e999", "--", "0x1f"]
+# Never left out: their defaults are 10^6 trials, 99 points and --rs 3 4 5 6.
+_KEPT = ("--trials", "--grid", "--rs")
+
+
+def _ints(lo, hi):
+    return st.integers(lo, hi).map(str)
+
+
+def _floats(lo=0.0, hi=1.0):
+    return st.floats(lo, hi).map(repr)
+
+
+def _opts(draw, files, command):
+    """The code sources and a subcommand's other flags, each as (flag, valid
+    values or None for a switch, bad values, whether given unless faulted).
+    --trials, --r, --n and --grid stay small, so each example takes milliseconds."""
+    family = [("--family", _FAMILIES, ["golay"], True), ("--r", _ints(2, 4), _BAD_R, True)]
+    grid = [("--grid", _ints(1, 5), ["0", "-2", "nan", "2.5"], True),
+            ("--eps", st.lists(st.floats(0, 1), min_size=1, max_size=3, unique=True)
+             .map(lambda e: " ".join(map(repr, sorted(e)))), _BAD_FLOATS, False)]
+    method = [("--method", st.sampled_from(["exact", "mc", "auto"]), ["fast"], False)]
+    trials = [("--trials", _ints(2, 200), ["0", "1", "-5", "nan", "1e3"], True)]
+    common = [("--seed", st.integers(-2**70, 2**70).map(str), ["zzz", "nan"], False),
+              ("--threads", _ints(-2, 4), ["zzz"], False),
+              ("-o", st.sampled_from(["out.csv", "sub/out.json"]), ["", "."], False),
+              ("--format", st.sampled_from(["csv", "json"]), ["xml"], False)]
+    n = draw(st.integers(2, 10))
+    n, dim = (("--n", st.just(str(n)), ["-2", "0", "1", "zzz"], True),
+              ("--dim", _ints(1, n - 1), [str(n), str(n + 2), "0", "-1"], True))
+    alpha = ("--alpha", _floats(0.05, 0.95), ["0", "1", "nan", "inf", "-0.1"], True)
+    reference = [("--reference-family", _FAMILIES, ["golay"], True),
+                 ("--reference-r", _ints(2, 4), _BAD_R, True)]
+    reference_file = [("--reference-file", st.just(files[0]), files[1:], True)]
+    source = {"family": family,
+              "code": [("--code", st.just(files[0]), files[1:], True)],
+              "random": [("--random", None, [], True), n, dim, alpha]}
+    per_command = {
+        "code": [],
+        "curve": method + grid + trials,
+        "gap": method + trials,
+        "sweep": [family[0], ("--rs", st.lists(_ints(2, 4), min_size=1, max_size=3).map(" ".join),
+                              _BAD_R, True)] + method + trials,
+        "search": [("--n", _ints(2, 6), ["-1", "0", "zzz"], True),
+                   ("--dim", _ints(1, 5), ["0", "-1", "7"], True)] + grid,
+        "ensemble": [n, dim, alpha, ("--codes", _ints(1, 3), ["0", "-1", "zzz"], False),
+                     *(reference if draw(st.booleans()) else reference_file)] + grid + trials,
+        "simulate": [("--eps", _floats(), _BAD_FLOATS, True)] + trials,
+    }[command] + common
+    return source, per_command
+
+
+@st.composite
+def _argv(draw, files):
+    """argv for one subcommand: valid in about a third of the draws, else with
+    one or two faulted flags (dropped, or given a bad value), a second code
+    source, junk tokens or -h."""
+    command = draw(st.sampled_from(["code", "curve", "gap", "sweep", "search", "ensemble",
+                                    "simulate"]))
+    source, opts = _opts(draw, files, command)
+    argv = [command]
+    if command == "code":
+        argv.append(draw(st.sampled_from(["make", "show", "validate"] * 3 + ["burn"])))
+        if argv[1] != "make" and draw(st.integers(0, 3)):
+            argv.append(files[0] if draw(st.booleans()) else draw(st.sampled_from(files)))
+    if command in ("code", "curve", "gap", "simulate") and len(argv) < 3:
+        names = draw(st.lists(st.sampled_from(sorted(source)), min_size=1, unique=True,
+                              max_size=draw(st.sampled_from([1, 1, 1, 1, 1, 2]))))
+        opts = [o for name in names for o in source[name]] + opts
+    faults = set(draw(st.lists(st.sampled_from([o[0] for o in opts]),
+                               max_size=draw(st.sampled_from([0, 0, 0, 1, 1, 2])))))
+    groups = []
+    for flag, good, bad, given in opts:
+        if flag in faults and (not bad or given and flag not in _KEPT and draw(st.booleans())):
+            continue  # a required flag left out
+        if flag not in faults and not given and draw(st.booleans()):
+            continue
+        if good is None:
+            groups.append([flag])
+        else:
+            value = draw(st.sampled_from(bad) if flag in faults else good)
+            groups.append([flag] + (value.split(" ") if flag in ("--eps", "--rs") else [value]))
+    for tokens in draw(st.permutations(groups)):
+        argv += tokens
+    if draw(st.integers(0, 5)) == 0:
+        for _ in range(draw(st.integers(1, 2))):
+            argv.insert(draw(st.integers(1, len(argv))), draw(st.sampled_from(_JUNK + ["-h"])))
+    return argv
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_cli_fuzz_exits_0_1_or_2(data, tmp_path_factory):
+    # Every argv built from a subcommand's own flags, valid values mixed with
+    # bad ones, ends in exit 0, 1 or 2 with one closing message; only --help
+    # may leave through SystemExit, and then with status 0.
+    root = tmp_path_factory.getbasetemp() / "fuzz"
+    (root / "out").mkdir(parents=True, exist_ok=True)
+    files = {"good": root / "h3.json", "garbage": root / "garbage.json",
+             "missing": root / "missing.json", "dir": root / "out"}
+    files["good"].write_text(codes.serialize(codes.hamming_base(3)))
+    files["garbage"].write_text('{"name": "x", "n": 3, "dim": 1, "generator_rows": ["0000"]}')
+    argv = data.draw(_argv([str(p) for p in files.values()]))
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.dict(os.environ, {cli.OUTPUT_DIR_ENV: str(root / "out")}), \
+            redirect_stdout(out), redirect_stderr(err):
+        try:
+            rc = cli.main(argv)
+        except SystemExit as e:
+            assert e.code == 0 and "-h" in argv, argv
+            return
+    assert rc in (0, 1, 2), argv
+    if rc:
+        last = err.getvalue().splitlines()[-1]
+        assert last.startswith(("error: ", "guard violation: ", "invalid: ")), (argv, last)

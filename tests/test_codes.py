@@ -89,6 +89,38 @@ def test_random_params_alpha_range():
         RandomCodeParams(n=4, dim=2, alpha=0.0, seed=1)
 
 
+@pytest.mark.parametrize("n, dim", [(3, 5), (-2, 1), (4, 4), (4, 0)])
+def test_random_params_shape(n, dim):
+    with pytest.raises(CodeError, match=f"^need 1 <= dim < n, got dim={dim}, n={n}$"):
+        RandomCodeParams(n=n, dim=dim, alpha=0.5, seed=1)
+
+
+# ---------------------------------------------------------------- CodeSpec
+
+def test_codespec_shape_comes_from_g(ex1):
+    c = codes.CodeSpec("ex1", ex1.G, ex1.H)
+    assert (c.n, c.dim, c.k) == (4, 2, 2) and c == ex1
+    with pytest.raises(TypeError):
+        codes.CodeSpec("ex1", ex1.G, ex1.H, n=4)
+
+
+@pytest.mark.parametrize("g, h, message", [
+    ([], ["1000", "0100", "0010", "0001"], "need 1 <= dim < n, got dim=0, n=4"),
+    (["1000", "0100", "0010", "0001"], [], "need 1 <= dim < n, got dim=4, n=4"),
+    (["1001", "0110"], ["10010", "01100"], "H has wrong shape"),
+    (["1001", "0110"], ["1001"], "H has wrong shape"),
+    (["1001", "0110"], ["1001", "0110", "1111"], "H has wrong shape"),
+    (["1010", "1010"], ["1001", "0110"], "G is rank-deficient"),
+    (["1001", "0110"], ["1001", "1001"], "H is rank-deficient"),
+    (["1001", "0110"], ["1000", "0100"], "G·Hᵀ != 0"),
+])
+def test_codespec_refuses_bad_matrices(g, h, message):
+    def matrix(rows):
+        return BitMatrix(4, ()) if not rows else BitMatrix.from_strings(rows)
+    with pytest.raises(CodeError, match=f"^{message}$"):
+        codes.CodeSpec("bad", matrix(g), matrix(h))
+
+
 # ---------------------------------------------------------------- explicit
 
 def test_from_generator_example_code(ex1):

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 import bewc
@@ -31,6 +32,26 @@ def test_stacked_matrix_bijective(seed):
     c = random_code(9, 4, seed=seed)
     enc = bewc.build_encoder(c)
     assert stacked_rank(enc) == c.n
+
+
+def _gprime_cases():
+    yield from (bewc.hamming_base(r) for r in range(2, 9))
+    yield from (bewc.simplex_base(r) for r in range(2, 8))
+    rng = np.random.default_rng(10)
+    for seed in range(50):
+        n = int(rng.integers(2, 40))
+        yield random_code(n, int(rng.integers(1, n)), seed=seed, alpha=float(rng.uniform(0.2, 0.8)))
+
+
+def test_gprime_is_the_pivot_supported_right_inverse():
+    # G'·Hᵀ = I and supp(q_i) ⊆ pivots of RREF(H) fix G' uniquely: on the pivot
+    # columns RREF(H) is the identity, so q_i's pivot bits are forced.  This
+    # is the solution of H·q_iᵀ = e_i with every free variable zeroed.
+    for code in _gprime_cases():
+        gprime = bewc.build_encoder(code).gprime
+        assert gf2.mul_transpose(gprime, code.H) == BitMatrix.identity(code.k), code.name
+        pivots = sum(1 << p for p in gf2.rref(code.H)[1])
+        assert all(q & ~pivots == 0 for q in gprime.rows), code.name
 
 
 def test_build_encoder_deterministic(ex1):

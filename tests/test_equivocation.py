@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import bewc
 from bewc import codes, equivocation as eq, gf2
@@ -214,6 +214,40 @@ def test_rank_profile_duality_identity_n22():
         lhs = bewc.exact_equivocation(dual_prof, 1 - eps)
         rhs = bewc.exact_equivocation(prof, eps) + n * (1 - eps) - k
         assert abs(lhs - rhs) <= 1e-12
+
+
+@st.composite
+def small_codes(draw):
+    """A code with 2 ≤ n ≤ 12 and any 1 ≤ dim < n, from a full-rank generator."""
+    n = draw(st.integers(2, 12))
+    dim = draw(st.integers(1, n - 1))
+    rows = draw(st.lists(st.integers(1, (1 << n) - 1), min_size=dim, max_size=dim))
+    g = gf2.BitMatrix(n, tuple(rows))
+    assume(gf2.rank(g) == dim)
+    return bewc.from_generator(g, "small")
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_codes())
+def test_rank_profile_duality_relabel(code):
+    # rank(H_E) = |E| − dim + rank(G_R) for E the complement of R, |R| = µ:
+    # N_{C⊥}(n − µ, n − µ − dim + r) = N_C(µ, r).
+    n, dim = code.n, code.dim
+    relabelled = {(n - mu, n - mu - dim + r): c
+                  for (mu, r), c in bewc.rank_profile(code).counts.items()}
+    assert bewc.rank_profile(_dual(code)).counts == relabelled
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_codes(), st.data())
+def test_pattern_entropy_duality(code, data):
+    # h_C(E) = |E| − dim + h_{C⊥}(Ē); C and C⊥ are scored on opposite kernel
+    # sides unless k = dim.
+    full = (1 << code.n) - 1
+    masks = data.draw(st.lists(st.integers(0, full), min_size=1, max_size=16))
+    h = PatternEntropy(code)(_packed_erased(code.n, masks))
+    h_dual = PatternEntropy(_dual(code))(_packed_erased(code.n, [full ^ m for m in masks]))
+    assert h.tolist() == [m.bit_count() - code.dim + hd for m, hd in zip(masks, h_dual.tolist())]
 
 
 def test_rank_profile_does_not_score_patterns(monkeypatch):

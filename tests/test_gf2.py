@@ -115,45 +115,6 @@ def test_rref_idempotent_and_preserves_row_space(m):
     assert row_space(red) == row_space(m)
 
 
-# ---------------------------------------------------------------- solve
-
-def test_solve_identity():
-    b = BitVec.from_string("101")
-    assert gf2.solve(BitMatrix.identity(3), b) == b
-
-
-def test_solve_no_solution():
-    assert gf2.solve(BitMatrix.zeros(2, 3), BitVec.from_string("10")) is None
-
-
-def test_solve_2x2():
-    a = BitMatrix.from_strings(["10", "11"])
-    x = gf2.solve(a, BitVec.from_bits([1, 0]))
-    assert x == BitVec.from_bits([1, 1])
-
-
-def test_solve_dimension_mismatch():
-    with pytest.raises(gf2.DimensionError):
-        gf2.solve(BitMatrix.identity(3), BitVec.from_string("10"))
-
-
-@given(bitmatrix(max_rows=4, max_cols=6), st.integers(0, 15))
-def test_solve_matches_exhaustive_search(m, bword):
-    b = BitVec(m.nrows, bword & ((1 << m.nrows) - 1))
-    exhaustive = None
-    for x in range(1 << m.cols):
-        if all(((r & x).bit_count() & 1) == b.bit(i) for i, r in enumerate(m.rows)):
-            exhaustive = x
-            break
-    got = gf2.solve(m, b)
-    if exhaustive is None:
-        assert got is None
-    else:
-        assert got is not None
-        assert all(((r & got.word).bit_count() & 1) == b.bit(i)
-                   for i, r in enumerate(m.rows))
-
-
 # ---------------------------------------------------------------- null_space
 
 def test_null_space_example_dimension_and_membership():
