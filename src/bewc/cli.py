@@ -27,6 +27,10 @@ from .codes import CodeError, CodeSpec, GuardError, RandomCodeParams
 
 DEFAULT_SEED = 0x5EC0DE
 OUTPUT_DIR_ENV = "BEWC_OUTPUT_DIR"
+# What a command may hold across its eps grid: a point's curve point and output
+# row measured 0.5-0.8 KB, a float64 entry is 8 B.  (8,4) search at 99: 160 MB.
+GRID_BYTES_BUDGET = 1 << 30
+POINT_BYTES = 1 << 10
 
 CURVE_CSV_HEADER = "epsilon,equivocation_bits,equivocation_rate,stderr,ci95_lo,ci95_hi,method"
 
@@ -52,15 +56,16 @@ def _add_code_source(p: argparse.ArgumentParser) -> None:
 
 
 def _resolve_code(args) -> CodeSpec:
-    sources = [args.family is not None, args.code is not None, args.random]
-    if sum(sources) != 1:
+    # A file source: --code, or the FILE of `code show` and `code validate`.
+    files = [f for f in (args.code, getattr(args, "file", None)) if f is not None]
+    if len(files) + (args.family is not None) + args.random != 1:
         raise UsageError("specify exactly one code source: --family/--r, --code, or --random")
     if args.family is not None:
         if args.r is None:
             raise UsageError("--family requires --r")
         return experiments.FAMILY_BUILDERS[args.family](args.r)
-    if args.code is not None:
-        return codes.parse(Path(args.code).read_text())
+    if files:
+        return codes.parse(Path(files[0]).read_text())
     if args.n is None or args.dim is None or args.alpha is None:
         raise UsageError("--random requires --n, --dim, and --alpha")
     return codes.random_base(
@@ -68,15 +73,20 @@ def _resolve_code(args) -> CodeSpec:
     )
 
 
-def _grid(args) -> list[float]:
-    if getattr(args, "eps", None):
-        return list(args.eps)
-    npts = getattr(args, "grid", None)
-    if npts is None:
-        npts = 99
-    elif npts < 1:
-        raise UsageError(f"--grid must be a positive number of points, got {npts}")
+def _uniform_grid(npts: int) -> list[float]:
     return [round(i / (npts + 1), 12) for i in range(1, npts + 1)]
+
+
+def _grid(args, point_bytes: int) -> list[float]:
+    """--eps, or --grid uniform points (99 by default), refused before the list
+    is built when `point_bytes` per point would exceed GRID_BYTES_BUDGET."""
+    npts = len(args.eps) if args.eps else (99 if args.grid is None else args.grid)
+    if npts < 1:
+        raise UsageError(f"--grid must be a positive number of points, got {npts}")
+    if npts * point_bytes > GRID_BYTES_BUDGET:
+        raise GuardError(f"{npts} eps points would hold {npts * point_bytes >> 20} MB of "
+                         f"results, over the {GRID_BYTES_BUDGET >> 20} MB grid budget")
+    return list(args.eps) if args.eps else _uniform_grid(npts)
 
 
 def _config_echo(args) -> dict:
@@ -130,15 +140,14 @@ def _emit(args, key: str, records: list[dict], **head) -> None:
 
 def cmd_code(args) -> int:
     if args.action == "make":
+        if args.file is not None:
+            raise UsageError("code make takes no FILE; pass it as --code FILE")
         code = _resolve_code(args)
         _write(args, codes.serialize(code), Path(f"{code.name}.json"))
         print(f"{code.name}: n={code.n} dim={code.dim} k={code.k} R={code.rate:.6f}")
         return 0
     if args.action == "show":
-        if args.file is not None:
-            code = codes.parse(Path(args.file).read_text())
-        else:
-            code = _resolve_code(args)
+        code = _resolve_code(args)
         print(f"{code.name}: n={code.n} dim={code.dim} k={code.k} R={code.rate:.6f}")
         print("G =")
         for row in code.G.row_strings():
@@ -149,7 +158,7 @@ def cmd_code(args) -> int:
     if args.file is None:
         raise UsageError("code validate requires a code FILE")
     try:
-        code = codes.parse(Path(args.file).read_text())
+        code = _resolve_code(args)
     except CodeError as e:
         print(f"invalid: {e}", file=sys.stderr)
         return 1
@@ -159,7 +168,9 @@ def cmd_code(args) -> int:
 
 def cmd_curve(args) -> int:
     code = _resolve_code(args)
-    cv = eq.curve(code, _grid(args), method=args.method, trials=args.trials, seed=args.seed)
+    tables = 16 * (code.n + 1) if eq.resolve_method(args.method, code.n) == "exact" else 0
+    grid = _grid(args, POINT_BYTES + tables)  # tables: equivocation_bits' powers of ε
+    cv = eq.curve(code, grid, method=args.method, trials=args.trials, seed=args.seed)
     if args.format == "json":
         _json(args, code=cv.code_name, method=cv.method, points=[asdict(p) for p in cv.points])
     else:
@@ -198,7 +209,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_search(args) -> int:
-    res = experiments.exhaustive_search(args.n, args.dim, _grid(args))
+    rates = 8 * experiments.search_count(args.n, args.dim)  # one float64 per code
+    res = experiments.exhaustive_search(args.n, args.dim, _grid(args, POINT_BYTES + rates))
     best = res.ranking[0]
     gen = res.generators[best]
     print(f"examined {res.count} ({args.n},{args.dim}) codes")
@@ -230,7 +242,7 @@ def cmd_ensemble(args) -> int:
         dim=args.dim,
         alpha=args.alpha,
         num_codes=args.codes,
-        grid=_grid(args),
+        grid=_grid(args, (args.codes + 1) * POINT_BYTES),  # a curve per code and reference
         trials=args.trials,
         seed=args.seed,
         reference=reference,

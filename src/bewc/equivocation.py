@@ -76,9 +76,7 @@ class Observation:
         return len(self.symbols)
 
     def pattern(self) -> ErasurePattern:
-        return ErasurePattern(
-            self.n, tuple(i for i, c in enumerate(self.symbols) if c != "?")
-        )
+        return ErasurePattern.from_mask(self.n, self.revealed_mask_and_word()[0])
 
     def revealed_mask_and_word(self) -> tuple[int, int]:
         mask = word = 0
@@ -94,7 +92,9 @@ def pattern_equivocation(code: CodeSpec, pat: ErasurePattern) -> int:
     """Bits of uncertainty left about the message: k − µ + rank(G_µ)."""
     if pat.n != code.n:
         raise gf2.DimensionError(f"pattern n={pat.n} but code n={code.n}")
-    g_mu = gf2.select_columns(code.G, pat.revealed)
+    revealed = sum(1 << i for i in pat.revealed)
+    # G with its erased columns zeroed has the rank of G_µ.
+    g_mu = gf2.BitMatrix(code.n, tuple(g & revealed for g in code.G.rows))
     return code.k - pat.mu + gf2.rank(g_mu)
 
 

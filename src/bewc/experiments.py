@@ -131,14 +131,8 @@ ARGMAX_TIE_TOL = 1e-12
 SEARCH_SUBSET_BUDGET = 1 << 27
 
 
-def exhaustive_search(n: int, dim: int, grid: Sequence[float]) -> SearchResult:
-    """Exact curves for every dim-dimensional base code in GF(2)^n.
-
-    Each subspace's rank profile is one O(n·2^n) subset-sum transform over
-    its 2^min(k, dim) dual or code words; `equivocation_bits` then evaluates
-    all profiles over the grid plus ε = R in one call, the same arithmetic
-    that `curve` and `achievability_gap` run for a single code.
-    """
+def search_count(n: int, dim: int) -> int:
+    """[n choose dim]_2, the number of codes to search; refuses a bad or over-budget shape."""
     codes.check_shape(n, dim)
     # Each count is at least 2^n, so a large n is refused before the Gaussian
     # binomial, which runs for over 30 s at (8000, 4000) on a 2-vCPU VM.
@@ -148,6 +142,18 @@ def exhaustive_search(n: int, dim: int, grid: Sequence[float]) -> SearchResult:
             f"searching all ({n},{dim}) codes tallies [n choose dim]_2 · 2^n subsets, "
             f"over the search budget of {SEARCH_SUBSET_BUDGET}"
         )
+    return count
+
+
+def exhaustive_search(n: int, dim: int, grid: Sequence[float]) -> SearchResult:
+    """Exact curves for every dim-dimensional base code in GF(2)^n.
+
+    Each subspace's rank profile is one O(n·2^n) subset-sum transform over
+    its 2^min(k, dim) dual or code words; `equivocation_bits` then evaluates
+    all profiles over the grid plus ε = R in one call, the same arithmetic
+    that `curve` and `achievability_gap` run for a single code.
+    """
+    count = search_count(n, dim)
     grid = tuple(grid)
     eq.check_grid(grid)
     k = n - dim

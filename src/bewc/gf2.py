@@ -5,8 +5,8 @@ Rows are arbitrary-precision Python ints; bit i of a row is column i
 what the rank inner loops need.  Everything here is a pure function on
 immutable values; nothing mutates its inputs.
 
-A matrix with zero rows or zero columns is legal (rank 0); fully erased
-observations and full-rank null spaces both produce them.
+A matrix with zero rows or zero columns is legal (rank 0); full-rank null
+spaces produce them.
 """
 
 from __future__ import annotations
@@ -141,25 +141,6 @@ def masked_rank(vectors: Sequence[int], mask: int) -> int:
 def rank(m: BitMatrix) -> int:
     """GF(2) row rank."""
     return masked_rank(m.rows, (1 << m.nrows) - 1)
-
-
-def select_columns(m: BitMatrix, keep: Sequence[int]) -> BitMatrix:
-    """Keep the given columns, in order.  Empty keep gives a 0-column matrix."""
-    prev = -1
-    for j in keep:
-        if not 0 <= j < m.cols:
-            raise IndexError(f"column {j} out of range for {m.cols} columns")
-        if j <= prev:
-            raise ValueError("column indices must be strictly increasing")
-        prev = j
-    new_rows = []
-    for r in m.rows:
-        nr = 0
-        for out_j, j in enumerate(keep):
-            if (r >> j) & 1:
-                nr |= 1 << out_j
-        new_rows.append(nr)
-    return BitMatrix(len(keep), tuple(new_rows))
 
 
 def rref(m: BitMatrix) -> tuple[BitMatrix, list[int]]:

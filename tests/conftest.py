@@ -17,6 +17,12 @@ def random_code(n: int, dim: int, seed: int, alpha: float = 0.5):
     return bewc.random_base(RandomCodeParams(n=n, dim=dim, alpha=alpha, seed=seed))
 
 
+def dual_words(code) -> list[int]:
+    """C⊥ by brute force over F₂ⁿ: every word orthogonal to each row of G."""
+    return [x for x in range(1 << code.n)
+            if all((x & g).bit_count() % 2 == 0 for g in code.G.rows)]
+
+
 def exact_gap_by_dual_count(code) -> Fraction:
     """Ag = R − H(M|Z)/n at ε = R as an exact rational, by counting dual words.
 
@@ -26,8 +32,7 @@ def exact_gap_by_dual_count(code) -> Fraction:
     2^n·(dim + 2^k) word operations: fine for n ≤ 15 with a small k.
     """
     n, k = code.n, code.k
-    dual = [x for x in range(1 << n)
-            if all((x & g).bit_count() % 2 == 0 for g in code.G.rows)]
+    dual = dual_words(code)
     assert len(dual) == 1 << k
     full = (1 << n) - 1
     # bits_by_mu[µ] = Σ over patterns revealing µ positions of H(M|Z).

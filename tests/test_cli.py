@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import os
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import bewc
-from bewc import cli, codes
+from bewc import cli, codes, experiments
 
 
 def run(args, capsys):
@@ -46,6 +47,29 @@ def test_code_show_prints_codebook(tmp_path, capsys, ex1):
     rc, stdout, _ = run(["code", "show", str(f)], capsys)
     assert rc == 0
     assert "0000 0110 1001 1111" in stdout  # Table-style codebook row
+
+
+_ONE_SOURCE = "error: specify exactly one code source: --family/--r, --code, or --random\n"
+
+
+@pytest.mark.parametrize("action, source, message", [
+    ("show", ["--family", "simplex", "--r", "4"], _ONE_SOURCE),
+    ("show", ["--code", "{file}"], _ONE_SOURCE),
+    ("show", ["--random", "--n", "5", "--dim", "2", "--alpha", "0.5"], _ONE_SOURCE),
+    ("validate", ["--family", "simplex", "--r", "4"], _ONE_SOURCE),
+    ("validate", ["--code", "{file}"], _ONE_SOURCE),
+    ("make", ["--family", "simplex", "--r", "4"],
+     "error: code make takes no FILE; pass it as --code FILE\n"),
+])
+def test_code_refuses_a_source_it_would_ignore(action, source, message, tmp_path, monkeypatch,
+                                                capsys):
+    monkeypatch.chdir(tmp_path)
+    f = tmp_path / "h3.json"
+    f.write_text(codes.serialize(codes.hamming_base(3)))
+    rc, stdout, stderr = run(["code", action, str(f), *(a.format(file=f) for a in source)],
+                             capsys)
+    assert (rc, stdout, stderr) == (1, "", message)
+    assert [p.name for p in tmp_path.iterdir()] == ["h3.json"]
 
 
 def test_code_validate_rejects_rank_deficient(tmp_path, capsys):
@@ -116,6 +140,29 @@ def test_curve_rejects_nonpositive_grid(tmp_path, capsys, npts):
     assert rc == 1
     assert stderr == f"error: --grid must be a positive number of points, got {npts}\n"
     assert stdout == "" and not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["curve", "--family", "hamming", "--r", "3", "--grid", "200000000"],
+    ["curve", "--family", "hamming", "--r", "3", "--method", "mc", "--grid", "2000000"],
+    ["search", "--n", "7", "--dim", "4", "--grid", "20000"],
+    ["ensemble", "--n", "7", "--dim", "4", "--alpha", "0.5", "--codes", "10",
+     "--reference-family", "hamming", "--reference-r", "3", "--grid", "100000"],
+])
+def test_grid_refused_by_what_it_would_hold(argv, capsys, monkeypatch):
+    def no_grid(npts):
+        raise AssertionError("grid built before the budget check")
+    monkeypatch.setattr(cli, "_uniform_grid", no_grid)
+    rc, stdout, stderr = run(argv, capsys)
+    assert (rc, stdout) == (2, "")
+    assert stderr.startswith("guard violation: ") and stderr.count("\n") == 1
+    assert "grid budget" in stderr
+
+
+def test_grid_budget_admits_the_largest_search():
+    # The (8,4) search holds 200,787 rates per point; its default 99 points fit.
+    per_point = cli.POINT_BYTES + 8 * experiments.search_count(8, 4)
+    assert len(cli._grid(argparse.Namespace(eps=None, grid=None), per_point)) == 99
 
 
 def test_curve_explicit_eps_endpoints(tmp_path, capsys):

@@ -10,7 +10,7 @@ import bewc
 from bewc import codes, equivocation as eq, gf2
 from bewc.equivocation import ErasurePattern, Observation, PatternEntropy
 
-from conftest import random_code
+from conftest import dual_words, random_code
 
 
 def ternary_brute_force(code, eps, book=None):
@@ -46,6 +46,29 @@ def test_pattern_equivocation_extremes(ex1):
 def test_pattern_equivocation_dimension_check(ex1):
     with pytest.raises(gf2.DimensionError):
         bewc.pattern_equivocation(ex1, ErasurePattern(5, (0,)))
+
+
+@pytest.mark.parametrize("revealed, message", [
+    ((4,), "position 4 out of range"),
+    ((-1,), "position -1 out of range"),
+    ((1, 1), "strictly increasing"),
+    ((2, 0), "strictly increasing"),
+])
+def test_erasure_pattern_refuses_bad_positions(revealed, message):
+    with pytest.raises(ValueError, match=message):
+        ErasurePattern(4, revealed)
+
+
+@pytest.mark.parametrize("symbols", ["01?2", "0 1", "x??", "1?-"])
+def test_observation_refuses_bad_symbols(symbols):
+    with pytest.raises(ValueError, match="bad observation alphabet"):
+        Observation(symbols)
+
+
+def test_observation_pattern_is_the_unerased_positions():
+    assert Observation("1??0?1").pattern() == ErasurePattern(6, (0, 3, 5))
+    assert Observation("???").pattern() == ErasurePattern(3, ())
+    assert Observation("0110").pattern() == ErasurePattern(4, (0, 1, 2, 3))
 
 
 @given(st.integers(0, 2**9 - 1), st.integers(0, 10**6))
@@ -225,6 +248,19 @@ def small_codes(draw):
     g = gf2.BitMatrix(n, tuple(rows))
     assume(gf2.rank(g) == dim)
     return bewc.from_generator(g, "small")
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_codes(), st.data())
+def test_pattern_equivocation_counts_hidden_dual_words(code, data):
+    # k − µ + rank(G_µ) = k − log2 #{c ∈ C⊥ : supp c ⊆ R}, with C⊥ listed by
+    # brute force, so the count shares no rank routine with the formula.
+    dual = dual_words(code)
+    masks = data.draw(st.lists(st.integers(0, (1 << code.n) - 1), min_size=1, max_size=8))
+    for revealed in masks:
+        count = sum(1 for c in dual if c & ~revealed == 0)
+        want = code.k - (count.bit_length() - 1)
+        assert bewc.pattern_equivocation(code, ErasurePattern.from_mask(code.n, revealed)) == want
 
 
 @settings(max_examples=200, deadline=None)

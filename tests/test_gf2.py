@@ -1,6 +1,3 @@
-from itertools import combinations
-
-import pytest
 from hypothesis import given, strategies as st
 
 from bewc import gf2
@@ -37,6 +34,7 @@ def test_rank_identity():
 
 def test_rank_zero_matrix():
     assert gf2.rank(BitMatrix.zeros(3, 5)) == 0
+    assert gf2.rank(BitMatrix.zeros(2, 0)) == 0  # zero columns
 
 
 @given(bitmatrix())
@@ -48,43 +46,21 @@ def test_rank_bounds_and_rref_agreement(m):
     assert gf2.rank(red) == r
 
 
-# ---------------------------------------------------------------- select_columns
-
-def test_select_columns_example():
-    m = BitMatrix.from_strings(["1001", "0110"])
-    assert gf2.select_columns(m, [0, 3]).row_strings() == ["11", "00"]
-
-
-def test_select_all_columns_identity():
-    m = BitMatrix.from_strings(["1001", "0110"])
-    assert gf2.select_columns(m, [0, 1, 2, 3]) == m
-
-
-def test_select_no_columns():
-    m = BitMatrix.from_strings(["1001", "0110"])
-    sel = gf2.select_columns(m, [])
-    assert sel.cols == 0 and sel.nrows == 2
-    assert gf2.rank(sel) == 0
-
-
-def test_select_columns_rejects_bad_indices():
-    m = BitMatrix.from_strings(["1001"])
-    with pytest.raises(IndexError):
-        gf2.select_columns(m, [4])
-    with pytest.raises(ValueError):
-        gf2.select_columns(m, [2, 1])
-
-
 @given(bitmatrix(max_cols=6), st.data())
 def test_rank_monotone_under_column_sets(m, data):
-    cols = sorted(data.draw(st.sets(st.integers(0, m.cols - 1))))
-    extra = sorted(set(range(m.cols)) - set(cols))
-    bigger = sorted(cols + data.draw(st.lists(st.sampled_from(extra), unique=True))
-                    ) if extra else cols
-    r_small = gf2.rank(gf2.select_columns(m, cols))
-    r_big = gf2.rank(gf2.select_columns(m, bigger))
-    assert r_small <= min(gf2.rank(m), len(cols))
-    assert r_small <= r_big
+    # Rows with the columns outside a mask zeroed: rank grows with the mask,
+    # is at most its popcount, and the full mask gives rank(m).
+    full = (1 << m.cols) - 1
+    small = data.draw(st.integers(0, full))
+    big = small | data.draw(st.integers(0, full))
+
+    def rank_on(mask):
+        return gf2.rank(BitMatrix(m.cols, tuple(r & mask for r in m.rows)))
+
+    r_small = rank_on(small)
+    assert r_small <= min(gf2.rank(m), small.bit_count())
+    assert r_small <= rank_on(big)
+    assert rank_on(full) == gf2.rank(m)
 
 
 # ---------------------------------------------------------------- rref

@@ -10,13 +10,15 @@ use, which moved some values by at most 2.2e-16.
 
 import hashlib
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from bewc import cli
+import bewc
+from bewc import cli, equivocation as eq
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -101,3 +103,15 @@ def test_scripts_write_cli_tables(tmp_path):
         assert cli.main(["sweep", "--family", family, "--rs", "3", "4", "5", "6",
                          "--trials", "2000", "-o", str(out)]) == 0
         assert out.read_bytes() == (tmp_path / "tables" / f"gaps_{family}.csv").read_bytes()
+
+
+def test_optimality_search_script(tmp_path, capsys):
+    run = runpy.run_path(str(REPO / "scripts" / "run_optimality_search.py"))["run"]
+    run(3, 1, bewc.hamming_base(2), tmp_path)
+    assert "(3,1): 7 codes; hamming-2 argmax at every eps: True;" in capsys.readouterr().out
+    header, *rows = (tmp_path / "search_3_1_rates.csv").read_text().splitlines()
+    assert header.split(",") == ["generator", *map(repr, eq.DEFAULT_GRID)]
+    assert len(rows) == 7
+    for row in rows:
+        rates = row.split(",")[1:]
+        assert len(rates) == 99 and all(0.0 <= float(r) <= 1.0 for r in rates)
