@@ -60,6 +60,11 @@ def _resolve_code(args) -> CodeSpec:
     files = [f for f in (args.code, getattr(args, "file", None)) if f is not None]
     if len(files) + (args.family is not None) + args.random != 1:
         raise UsageError("specify exactly one code source: --family/--r, --code, or --random")
+    chosen = "--family" if args.family is not None else "--random" if args.random else "--code"
+    for source, flags in (("--family", ["r"]), ("--random", ["n", "dim", "alpha"])):
+        stray = [f"--{f}" for f in flags if getattr(args, f) is not None]
+        if stray and source != chosen:
+            raise UsageError(f"{' '.join(stray)} given without {source}")
     if args.family is not None:
         if args.r is None:
             raise UsageError("--family requires --r")
@@ -232,6 +237,8 @@ def cmd_ensemble(args) -> int:
         raise UsageError("specify exactly one reference source: "
                          "--reference-family/--reference-r or --reference-file")
     if args.reference_file is not None:
+        if args.reference_r is not None:
+            raise UsageError("--reference-r given without --reference-family")
         reference = codes.parse(Path(args.reference_file).read_text())
     elif args.reference_r is None:
         raise UsageError("--reference-family requires --reference-r")

@@ -3,8 +3,10 @@
 The message picks a coset of the base code; a fresh random vector picks the
 codeword within it.  With the auxiliary matrix G' chosen so that G'·Hᵀ = I,
 the receiver's syndrome y·Hᵀ is exactly the message, so decoding is one
-vector-matrix product.  The explicit codebook (all 2^k cosets listed out)
-is kept as a small-n ground-truth oracle.
+vector-matrix product.  `encode` and `decode` work on batches: m, v, x and y
+are uint8 arrays with one packed vector per row (see `gf2.vec_mat_mul`),
+and one message is a batch of one row.  The explicit codebook (all 2^k
+cosets listed out) is kept as a small-n ground-truth oracle.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import numpy as np
 
 from . import gf2
 from .codes import CodeSpec, GuardError
-from .gf2 import BitMatrix, BitVec
+from .gf2 import BitMatrix
 
 CODEBOOK_GUARD_N = 20
 
@@ -24,6 +26,7 @@ CODEBOOK_GUARD_N = 20
 class EncoderMatrices:
     code: CodeSpec
     gprime: BitMatrix  # k×n, rows q_1..q_k with G'·Hᵀ = I_k
+    htrans: BitMatrix  # n×k, Hᵀ, the syndrome map
 
 
 def build_encoder(code: CodeSpec) -> EncoderMatrices:
@@ -43,29 +46,20 @@ def build_encoder(code: CodeSpec) -> EncoderMatrices:
         for i in range(k):
             if (a >> i) & 1:
                 rows[i] |= 1 << p
-    return EncoderMatrices(code=code, gprime=BitMatrix(n, tuple(rows)))
+    htrans = BitMatrix(k, tuple(gf2.column_ints(code.H)))
+    return EncoderMatrices(code=code, gprime=BitMatrix(n, tuple(rows)), htrans=htrans)
 
 
-def encode(enc: EncoderMatrices, m: BitVec, v: BitVec) -> BitVec:
-    """x = m·G' ⊕ v·G; m selects the coset, v the codeword within it."""
-    code = enc.code
-    if m.length != code.k or v.length != code.dim:
-        raise gf2.DimensionError(
-            f"need |m|={code.k}, |v|={code.dim}; got {m.length}, {v.length}"
-        )
-    return gf2.vec_mat_mul(m, enc.gprime) ^ gf2.vec_mat_mul(v, code.G)
+def encode(enc: EncoderMatrices, m: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """x = m·G' ⊕ v·G row by row; m selects the coset, v the codeword within it."""
+    if len(m) != len(v):
+        raise gf2.DimensionError(f"need one random vector per message, got {len(v)} for {len(m)}")
+    return gf2.vec_mat_mul(m, enc.gprime) ^ gf2.vec_mat_mul(v, enc.code.G)
 
 
-def decode(enc: EncoderMatrices, y: BitVec) -> BitVec:
-    """Syndrome decoding: m = y·Hᵀ.  Assumes y arrived erasure-free."""
-    code = enc.code
-    if y.length != code.n:
-        raise gf2.DimensionError(f"need |y|={code.n}, got {y.length}")
-    word, s = y.word, 0
-    for i, h in enumerate(code.H.rows):
-        if (word & h).bit_count() & 1:
-            s |= 1 << i
-    return BitVec(code.k, s)
+def decode(enc: EncoderMatrices, y: np.ndarray) -> np.ndarray:
+    """Syndrome decoding, row by row: m = y·Hᵀ.  Assumes y arrived erasure-free."""
+    return gf2.vec_mat_mul(y, enc.htrans)
 
 
 @dataclass(frozen=True)

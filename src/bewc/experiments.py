@@ -17,7 +17,7 @@ import numpy as np
 from . import codes, coset, equivocation as eq
 from .codes import CodeSpec, GuardError, RandomCodeParams, derive_seed, make_rng
 from .equivocation import CI95, EquivocationCurve, GapReport
-from .gf2 import BitMatrix, BitVec
+from .gf2 import BitMatrix
 
 
 @dataclass(frozen=True)
@@ -38,8 +38,9 @@ SESSION_CHUNK = 2048
 
 def _session_stream(rng: np.random.Generator, trials: int, mb: int, vb: int, n: int):
     """Yield, chunk by chunk, exactly what per-trial `rng.bytes(mb)`,
-    `rng.bytes(vb)` and `rng.random(n)` calls would return: a list of m byte
-    strings, a list of v byte strings and an (N, n) array of doubles.
+    `rng.bytes(vb)` and `rng.random(n)` calls would return: an (N, mb) and an
+    (N, vb) uint8 view whose rows are those byte strings, and an (N, n) array
+    of doubles.
 
     Each chunk is one `random_raw` read of 64-bit Philox words.  `bytes(L)`
     draws ⌈L/4⌉ uint32s; a uint32 draw takes the low half of a fresh word and
@@ -58,14 +59,10 @@ def _session_stream(rng: np.random.Generator, trials: int, mb: int, vb: int, n: 
         halves = np.concatenate([raw[:, :h0], raw[:, h0 + n : h0 + n + h1]], axis=1)
         # Low half first, as `bytes` reads its uint32s little-endian.
         u32 = halves.astype("<u8", copy=False).view("<u4").reshape(2 * pairs, c)[:size]
-        mbuf, vbuf = u32[:, :cm].tobytes(), u32[:, cm:].tobytes()
+        u8 = u32.view(np.uint8)
         words = np.stack([raw[:, h0 : h0 + n], raw[:, h0 + n + h1 :]], axis=1)
         draws = (words.reshape(2 * pairs, n)[:size] >> np.uint64(11)) * 2.0**-53
-        yield (
-            [mbuf[i : i + mb] for i in range(0, len(mbuf), 4 * cm)],
-            [vbuf[i : i + vb] for i in range(0, len(vbuf), 4 * cv)],
-            draws,
-        )
+        yield u8[:, :mb], u8[:, 4 * cm : 4 * cm + vb], draws
 
 
 def simulate_session(code: CodeSpec, eps: float, trials: int, seed: int) -> SessionReport:
@@ -73,25 +70,26 @@ def simulate_session(code: CodeSpec, eps: float, trials: int, seed: int) -> Sess
     noiseless copy, Eve's observation is scored by per-pattern entropy.
 
     The stream contract is per trial: m from `rng.bytes(⌈k/8⌉)`, v from
-    `rng.bytes(⌈dim/8⌉)`, then the erasures from `rng.random(n)` < ε.
-    `_session_stream` reproduces those values bit for bit from one raw read
-    per SESSION_CHUNK trials, and each chunk's erasures are scored in one
-    `PatternEntropy` call; the codec still runs once per trial.
+    `rng.bytes(⌈dim/8⌉)`, each cut to its low k or dim bits, then the
+    erasures from `rng.random(n)` < ε.  `_session_stream` reproduces those
+    values bit for bit from one raw read per SESSION_CHUNK trials, and each
+    chunk takes one `encode`, one `decode` and one `PatternEntropy` call.
     """
     eq.check_mc_args(eps, trials)
     enc = coset.build_encoder(code)
     ent = eq.PatternEntropy(code)
     n, k, dim = code.n, code.k, code.dim
-    mask_m, mask_v = (1 << k) - 1, (1 << dim) - 1
+    mb, vb = (k + 7) // 8, (dim + 7) // 8
+    # Byte masks that keep the low k (dim) bits of a packed row.
+    mask_m = np.frombuffer(((1 << k) - 1).to_bytes(mb, "little"), dtype=np.uint8)
+    mask_v = np.frombuffer(((1 << dim) - 1).to_bytes(vb, "little"), dtype=np.uint8)
     rng = make_rng(seed, "session")
     bob_ok = 0
     s = ss = 0
-    for mbytes, vbytes, draws in _session_stream(rng, trials, (k + 7) // 8, (dim + 7) // 8, n):
-        for mb, vb in zip(mbytes, vbytes):
-            m = BitVec(k, int.from_bytes(mb, "little") & mask_m)
-            x = coset.encode(enc, m, BitVec(dim, int.from_bytes(vb, "little") & mask_v))
-            if coset.decode(enc, x) == m:
-                bob_ok += 1
+    for mbytes, vbytes, draws in _session_stream(rng, trials, mb, vb, n):
+        m = mbytes & mask_m
+        x = coset.encode(enc, m, vbytes & mask_v)
+        bob_ok += int(np.all(coset.decode(enc, x) == m, axis=1).sum())
         h = ent(np.packbits(draws < eps, axis=1, bitorder="little"))
         s += int(h.sum())
         ss += int(h @ h)

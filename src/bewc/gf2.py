@@ -2,8 +2,9 @@
 
 Rows are arbitrary-precision Python ints; bit i of a row is column i
 (little-endian within the int).  Row operations are single XORs, which is
-what the rank inner loops need.  Everything here is a pure function on
-immutable values; nothing mutates its inputs.
+what the rank inner loops need.  `vec_mat_mul` alone works on a batch of
+vectors, packed into a uint8 array, one vector per row.  Everything here is
+a pure function; nothing mutates its inputs.
 
 A matrix with zero rows or zero columns is legal (rank 0); full-rank null
 spaces produce them.
@@ -13,6 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterable, Sequence
+
+import numpy as np
 
 
 class DimensionError(ValueError):
@@ -51,11 +54,6 @@ class BitVec:
     def to01(self) -> str:
         return "".join("1" if (self.word >> i) & 1 else "0" for i in range(self.length))
 
-    def __xor__(self, other: "BitVec") -> "BitVec":
-        if self.length != other.length:
-            raise DimensionError("xor of different lengths")
-        return BitVec(self.length, self.word ^ other.word)
-
 
 @dataclass(frozen=True)
 class BitMatrix:
@@ -74,27 +72,6 @@ class BitMatrix:
     @property
     def nrows(self) -> int:
         return len(self.rows)
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[int]]) -> "BitMatrix":
-        vecs = [BitVec.from_bits(r) for r in rows]
-        widths = {v.length for v in vecs}
-        if len(widths) > 1:
-            raise DimensionError("ragged rows")
-        cols = widths.pop() if widths else 0
-        return cls(cols, tuple(v.word for v in vecs))
-
-    @classmethod
-    def from_strings(cls, rows: Sequence[str]) -> "BitMatrix":
-        return cls.from_rows([[int(c) for c in r] for r in rows])
-
-    @classmethod
-    def identity(cls, n: int) -> "BitMatrix":
-        return cls(n, tuple(1 << i for i in range(n)))
-
-    @classmethod
-    def zeros(cls, nrows: int, cols: int) -> "BitMatrix":
-        return cls(cols, (0,) * nrows)
 
     def row(self, i: int) -> BitVec:
         return BitVec(self.cols, self.rows[i])
@@ -182,17 +159,32 @@ def null_space(m: BitMatrix) -> BitMatrix:
     return BitMatrix(m.cols, tuple(basis))
 
 
-def vec_mat_mul(v: BitVec, m: BitMatrix) -> BitVec:
-    """v·m over GF(2): XOR of the rows of m selected by v."""
-    if v.length != m.nrows:
-        raise DimensionError("vector length must equal row count")
-    acc = 0
-    w = v.word
-    while w:
-        i = (w & -w).bit_length() - 1
-        acc ^= m.rows[i]
-        w &= w - 1
-    return BitVec(m.cols, acc)
+def vec_mat_mul(v: np.ndarray, m: BitMatrix) -> np.ndarray:
+    """Row-wise v·m over GF(2) for a batch: row i of the result is the XOR of
+    the rows of m selected by row i of v.
+
+    v is (N, ⌈m.nrows/8⌉) uint8 and the result (N, ⌈m.cols/8⌉) uint8, both
+    packed as `np.packbits(..., bitorder="little")` packs (bit j of byte b is
+    coordinate 8b + j).  Each byte of v indexes a 256-entry table of the XORs
+    of every subset of the eight rows of m it covers.
+    """
+    nb, ob = (m.nrows + 7) // 8, (m.cols + 7) // 8
+    if v.dtype != np.uint8 or v.ndim != 2 or v.shape[1] != nb:
+        raise DimensionError(f"need (N, {nb}) uint8 rows for {m.nrows} bits, "
+                             f"got {v.dtype} {v.shape}")
+    if m.nrows % 8 and np.any(v[:, -1] >> (m.nrows % 8)):
+        raise DimensionError(f"bits set beyond the {m.nrows} rows")
+    rows = np.zeros((8 * nb, ob), dtype=np.uint8)
+    rows[: m.nrows] = np.frombuffer(
+        b"".join(r.to_bytes(ob, "little") for r in m.rows), dtype=np.uint8
+    ).reshape(m.nrows, ob)
+    tables = np.zeros((nb, 256, ob), dtype=np.uint8)
+    for j in range(8):  # by doubling: entry s | 2^j = entry s ^ row j
+        tables[:, 1 << j : 2 << j] = tables[:, : 1 << j] ^ rows[j::8, None]
+    out = np.zeros((len(v), ob), dtype=np.uint8)
+    for b in range(nb):
+        out ^= tables[b, v[:, b]]
+    return out
 
 
 def mul_transpose(a: BitMatrix, b: BitMatrix) -> BitMatrix:

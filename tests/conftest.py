@@ -1,16 +1,46 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import bewc
 from bewc.codes import RandomCodeParams
-from bewc.gf2 import BitMatrix
+from bewc.gf2 import BitMatrix, BitVec
+
+
+def from_strings(rows: list[str]) -> BitMatrix:
+    """A BitMatrix from '01' strings; the leftmost character is column 0."""
+    widths = {len(r) for r in rows}
+    assert len(widths) <= 1, "ragged rows"
+    return BitMatrix(widths.pop() if widths else 0,
+                     tuple(BitVec.from_string(r).word for r in rows))
+
+
+def identity(n: int) -> BitMatrix:
+    return BitMatrix(n, tuple(1 << i for i in range(n)))
+
+
+def zeros(nrows: int, cols: int) -> BitMatrix:
+    return BitMatrix(cols, (0,) * nrows)
+
+
+def pack(words: list[int], nbits: int) -> np.ndarray:
+    """Python-int vectors as an (N, ⌈nbits/8⌉) uint8 batch, one per row, packed
+    little-endian as `gf2.vec_mat_mul` takes them."""
+    nb = (nbits + 7) // 8
+    data = b"".join(w.to_bytes(nb, "little") for w in words)
+    return np.frombuffer(data, dtype=np.uint8).reshape(len(words), nb)
+
+
+def unpack(rows: np.ndarray) -> list[int]:
+    """The rows of a packed batch as Python ints (bit i = coordinate i)."""
+    return [int.from_bytes(r.tobytes(), "little") for r in rows]
 
 
 @pytest.fixture
 def ex1():
     """The 4-bit self-dual base code whose codebook has 4 cosets of 4 words."""
-    return bewc.from_generator(BitMatrix.from_strings(["1001", "0110"]), "ex1")
+    return bewc.from_generator(from_strings(["1001", "0110"]), "ex1")
 
 
 def random_code(n: int, dim: int, seed: int, alpha: float = 0.5):

@@ -27,9 +27,7 @@ import bewc
 from bewc import cli, codes, equivocation as eq
 from bewc.codes import derive_seed
 from bewc.equivocation import ErasurePattern, Observation
-from bewc.gf2 import BitVec
-
-from conftest import exact_gap_by_dual_count, random_code
+from conftest import exact_gap_by_dual_count, from_strings, pack, random_code, unpack
 
 GRID = [round(0.01 * i, 2) for i in range(1, 100)]
 # Exact Ag at ε = R: Hamming and simplex n=7 (equal by duality), Hamming n=15.
@@ -248,7 +246,7 @@ def test_criterion_9_bounds_monotonicity_concavity(exact_curves, search74, searc
 def test_criterion_10_codec_correctness():
     exhaustive_ok = True
     small = [
-        bewc.from_generator(bewc.BitMatrix.from_strings(["1001", "0110"]), "ex1"),
+        bewc.from_generator(from_strings(["1001", "0110"]), "ex1"),
         bewc.hamming_base(3),
         bewc.simplex_base(3),
         random_code(9, 4, seed=10),
@@ -256,19 +254,20 @@ def test_criterion_10_codec_correctness():
     ]
     for code in small:
         enc = bewc.build_encoder(code)
-        for m in range(1 << code.k):
-            for v in range(1 << code.dim):
-                x = bewc.encode(enc, BitVec(code.k, m), BitVec(code.dim, v))
-                exhaustive_ok &= bewc.decode(enc, x).word == m
+        pairs = [(m, v) for m in range(1 << code.k) for v in range(1 << code.dim)]
+        ms, vs = [m for m, _ in pairs], [v for _, v in pairs]
+        x = bewc.encode(enc, pack(ms, code.k), pack(vs, code.dim))
+        exhaustive_ok &= unpack(bewc.decode(enc, x)) == ms
     random_ok = True
     rng = np.random.default_rng(1010)
     for code in (bewc.hamming_base(4), bewc.hamming_base(5), bewc.hamming_base(6)):
         enc = bewc.build_encoder(code)
+        ms, vs = [], []
         for _ in range(10**4):
-            m = int(rng.integers(0, 1 << code.k))
-            v = int.from_bytes(rng.bytes(8), "little") & ((1 << code.dim) - 1)
-            x = bewc.encode(enc, BitVec(code.k, m), BitVec(code.dim, v))
-            random_ok &= bewc.decode(enc, x).word == m
+            ms.append(int(rng.integers(0, 1 << code.k)))
+            vs.append(int.from_bytes(rng.bytes(8), "little") & ((1 << code.dim) - 1))
+        x = bewc.encode(enc, pack(ms, code.k), pack(vs, code.dim))
+        random_ok &= unpack(bewc.decode(enc, x)) == ms
     session = bewc.simulate_session(bewc.hamming_base(3), 0.35, trials=10**5, seed=12)
     session_ok = session.bob_success_rate == 1.0
     ok = exhaustive_ok and random_ok and session_ok

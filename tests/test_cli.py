@@ -72,6 +72,36 @@ def test_code_refuses_a_source_it_would_ignore(action, source, message, tmp_path
     assert [p.name for p in tmp_path.iterdir()] == ["h3.json"]
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["gap", "--family", "hamming", "--r", "3", "--n", "5", "--dim", "2", "--alpha", "0.3",
+      "--method", "exact"], "error: --n --dim --alpha given without --random\n"),
+    (["curve", "--family", "simplex", "--r", "3", "--alpha", "0.3"],
+     "error: --alpha given without --random\n"),
+    (["gap", "--code", "{file}", "--r", "3"], "error: --r given without --family\n"),
+    (["gap", "--code", "{file}", "--dim", "2"], "error: --dim given without --random\n"),
+    (["simulate", "--random", "--n", "7", "--dim", "4", "--alpha", "0.5", "--r", "3",
+      "--eps", "0.3"], "error: --r given without --family\n"),
+    (["code", "show", "{file}", "--n", "7"], "error: --n given without --random\n"),
+    (["code", "make", "--family", "simplex", "--r", "3", "--dim", "3"],
+     "error: --dim given without --random\n"),
+    (["ensemble", "--n", "7", "--dim", "4", "--alpha", "0.5", "--reference-file", "{file}",
+      "--reference-r", "3"], "error: --reference-r given without --reference-family\n"),
+])
+def test_flags_of_an_unchosen_source_are_refused(argv, message, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    f = tmp_path / "h3.json"
+    f.write_text(codes.serialize(codes.hamming_base(3)))
+    rc, stdout, stderr = run([a.format(file=f) for a in argv], capsys)
+    assert (rc, stdout, stderr) == (1, "", message)
+    assert [p.name for p in tmp_path.iterdir()] == ["h3.json"]
+
+
+def test_seed_is_not_a_source_flag(capsys):
+    rc, stdout, _ = run(["gap", "--family", "hamming", "--r", "3", "--method", "exact",
+                         "--seed", "5"], capsys)
+    assert (rc, stdout) == (0, "Ag = 0.0803\n")
+
+
 def test_code_validate_rejects_rank_deficient(tmp_path, capsys):
     f = tmp_path / "bad.json"
     f.write_text('{"name": "bad", "n": 4, "dim": 2, "generator_rows": ["1010", "1010"]}')

@@ -8,7 +8,7 @@ from bewc import codes, gf2
 from bewc.codes import CodeError, RandomCodeParams
 from bewc.gf2 import BitMatrix
 
-from conftest import random_code
+from conftest import from_strings, identity, pack, random_code, unpack
 
 
 def assert_valid(code):
@@ -116,7 +116,7 @@ def test_codespec_shape_comes_from_g(ex1):
 ])
 def test_codespec_refuses_bad_matrices(g, h, message):
     def matrix(rows):
-        return BitMatrix(4, ()) if not rows else BitMatrix.from_strings(rows)
+        return BitMatrix(4, ()) if not rows else from_strings(rows)
     with pytest.raises(CodeError, match=f"^{message}$"):
         codes.CodeSpec("bad", matrix(g), matrix(h))
 
@@ -126,28 +126,28 @@ def test_codespec_refuses_bad_matrices(g, h, message):
 def test_from_generator_example_code(ex1):
     cb_words = set()
     for v in range(4):
-        cb_words.add(gf2.vec_mat_mul(gf2.BitVec(2, v), ex1.G).word)
+        cb_words.update(unpack(gf2.vec_mat_mul(pack([v], 2), ex1.G)))
     assert cb_words == {0b0000, 0b0110, 0b1001, 0b1111}
 
 
 def test_from_generator_rejects_rank_deficient():
     with pytest.raises(CodeError):
-        bewc.from_generator(BitMatrix.from_strings(["1010", "1010"]))
+        bewc.from_generator(from_strings(["1010", "1010"]))
 
 
 @pytest.mark.parametrize("rows", [["1010", "1010"], ["1100", "0110", "1010"], ["0000", "1001"]])
 def test_from_generator_dependent_rows_message(rows):
     with pytest.raises(CodeError, match="^generator rows are linearly dependent$"):
-        bewc.from_generator(BitMatrix.from_strings(rows))
+        bewc.from_generator(from_strings(rows))
 
 
 def test_from_generator_rejects_full_dimension():
     with pytest.raises(CodeError):
-        bewc.from_generator(BitMatrix.identity(4))
+        bewc.from_generator(identity(4))
 
 
 def test_from_generator_single_row():
-    c = bewc.from_generator(BitMatrix.from_strings(["1111"]))
+    c = bewc.from_generator(from_strings(["1111"]))
     assert (c.n, c.dim, c.k) == (4, 1, 3)
     assert_valid(c)
 

@@ -10,7 +10,7 @@ import bewc
 from bewc import codes, equivocation as eq, gf2
 from bewc.equivocation import ErasurePattern, Observation, PatternEntropy
 
-from conftest import dual_words, random_code
+from conftest import dual_words, from_strings, random_code
 
 
 def ternary_brute_force(code, eps, book=None):
@@ -174,7 +174,7 @@ def test_rank_profile_guard():
 
 def test_rank_profile_row_space_invariance(ex1):
     # Same row space, different generator rows.
-    other = bewc.from_generator(gf2.BitMatrix.from_strings(["1111", "0110"]), "ex1b")
+    other = bewc.from_generator(from_strings(["1111", "0110"]), "ex1b")
     assert bewc.rank_profile(other).counts == bewc.rank_profile(ex1).counts
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import bewc
-from bewc import codes, equivocation as eq, experiments
+from bewc import codes, coset, equivocation as eq, experiments
 
 from conftest import random_code
 
@@ -53,9 +53,11 @@ def test_session_stream_matches_generator_calls(chunk, monkeypatch):
         read = 0
         for mbytes, vbytes, draws in experiments._session_stream(fast, trials, mb, vb, n):
             assert len(mbytes) == len(vbytes) == len(draws) <= chunk
+            assert mbytes.dtype == vbytes.dtype == np.uint8
+            assert mbytes.shape[1:] == (mb,) and vbytes.shape[1:] == (vb,)
             for m, v, d in zip(mbytes, vbytes, draws):
-                assert m == slow.bytes(mb), (k, dim, read)
-                assert v == slow.bytes(vb), (k, dim, read)
+                assert m.tobytes() == slow.bytes(mb), (k, dim, read)
+                assert v.tobytes() == slow.bytes(vb), (k, dim, read)
                 assert d.tobytes() == slow.random(n).tobytes(), (k, dim, read)
                 read += 1
         assert read == trials
@@ -70,6 +72,23 @@ def test_session_report_independent_of_chunk_size(monkeypatch):
         monkeypatch.setattr(experiments, "SESSION_CHUNK", chunk)
         reports.append(bewc.simulate_session(code, 0.6, trials=4099, seed=5))
     assert reports[0] == reports[1] == reports[2]
+
+
+def test_session_counts_bob_failures(monkeypatch):
+    # A decoder that flips the low bit of one message per chunk must lower
+    # Bob's success rate by exactly one trial per chunk: the chunk-wide
+    # comparison is not vacuous.  k = 11, so a message spans two bytes and a
+    # comparison that passed on any matching byte would miss the flip.
+    decode = coset.decode
+
+    def faulty(enc, y):
+        out = decode(enc, y).copy()
+        out[0, 0] ^= 1
+        return out
+    monkeypatch.setattr(coset, "decode", faulty)
+    trials = 2 * experiments.SESSION_CHUNK + 5
+    rep = bewc.simulate_session(bewc.simplex_base(4), 0.4, trials=trials, seed=1)
+    assert rep.bob_success_rate == 1 - 3 / trials
 
 
 def test_session_validates_arguments():

@@ -1,7 +1,11 @@
+import numpy as np
+import pytest
 from hypothesis import given, strategies as st
 
 from bewc import gf2
-from bewc.gf2 import BitMatrix, BitVec
+from bewc.gf2 import BitMatrix
+
+from conftest import from_strings, identity, pack, unpack, zeros
 
 
 def bitmatrix(max_rows=5, max_cols=8):
@@ -24,17 +28,17 @@ def row_space(m: BitMatrix) -> set[int]:
 # ---------------------------------------------------------------- rank
 
 def test_rank_example_generator():
-    assert gf2.rank(BitMatrix.from_strings(["1001", "0110"])) == 2
+    assert gf2.rank(from_strings(["1001", "0110"])) == 2
 
 
 def test_rank_identity():
     for k in (1, 3, 7):
-        assert gf2.rank(BitMatrix.identity(k)) == k
+        assert gf2.rank(identity(k)) == k
 
 
 def test_rank_zero_matrix():
-    assert gf2.rank(BitMatrix.zeros(3, 5)) == 0
-    assert gf2.rank(BitMatrix.zeros(2, 0)) == 0  # zero columns
+    assert gf2.rank(zeros(3, 5)) == 0
+    assert gf2.rank(zeros(2, 0)) == 0  # zero columns
 
 
 @given(bitmatrix())
@@ -66,19 +70,19 @@ def test_rank_monotone_under_column_sets(m, data):
 # ---------------------------------------------------------------- rref
 
 def test_rref_swaps_rows():
-    red, piv = gf2.rref(BitMatrix.from_strings(["0110", "1001"]))
+    red, piv = gf2.rref(from_strings(["0110", "1001"]))
     assert red.row_strings() == ["1001", "0110"]
     assert piv == [0, 1]
 
 
 def test_rref_identity_fixed_point():
-    m = BitMatrix.identity(4)
+    m = identity(4)
     red, piv = gf2.rref(m)
     assert red == m and piv == [0, 1, 2, 3]
 
 
 def test_rref_duplicate_rows():
-    red, piv = gf2.rref(BitMatrix.from_strings(["1111", "1111"]))
+    red, piv = gf2.rref(from_strings(["1111", "1111"]))
     assert red.row_strings() == ["1111", "0000"]
     assert piv == [0]
 
@@ -94,7 +98,7 @@ def test_rref_idempotent_and_preserves_row_space(m):
 # ---------------------------------------------------------------- null_space
 
 def test_null_space_example_dimension_and_membership():
-    m = BitMatrix.from_strings(["1001", "0110"])
+    m = from_strings(["1001", "0110"])
     ns = gf2.null_space(m)
     assert ns.nrows == 2
     members = {x for x in range(16)
@@ -103,11 +107,11 @@ def test_null_space_example_dimension_and_membership():
 
 
 def test_null_space_of_identity_is_empty():
-    assert gf2.null_space(BitMatrix.identity(5)).nrows == 0
+    assert gf2.null_space(identity(5)).nrows == 0
 
 
 def test_null_space_parity_row():
-    ns = gf2.null_space(BitMatrix.from_strings(["11"]))
+    ns = gf2.null_space(from_strings(["11"]))
     assert ns.row_strings() == ["11"]
 
 
@@ -122,10 +126,31 @@ def test_null_space_identities(m):
 # ---------------------------------------------------------------- products
 
 def test_vec_mat_mul_selects_first_row():
-    m = BitMatrix.from_strings(["1001", "0110"])
-    assert gf2.vec_mat_mul(BitVec.from_bits([1, 0]), m).to01() == "1001"
+    m = from_strings(["1001", "0110"])
+    assert unpack(gf2.vec_mat_mul(pack([0b01], 2), m)) == [0b1001]  # "1001"
 
 
 def test_vec_mat_mul_xors_rows():
-    m = BitMatrix.from_strings(["1001", "0110"])
-    assert gf2.vec_mat_mul(BitVec.from_bits([1, 1]), m).to01() == "1111"
+    m = from_strings(["1001", "0110"])
+    assert unpack(gf2.vec_mat_mul(pack([0b11], 2), m)) == [0b1111]  # "1111"
+
+
+@pytest.mark.parametrize("v", [
+    np.zeros((1, 2), dtype=np.uint8),  # two bytes for three rows
+    np.zeros((1, 0), dtype=np.uint8),
+    np.zeros(1, dtype=np.uint8),  # one vector, not a batch of one
+    np.zeros((1, 1), dtype=np.int64),
+], ids=["wide", "narrow", "1-d", "int64"])
+def test_vec_mat_mul_refuses_a_wrong_width(v):
+    with pytest.raises(gf2.DimensionError):
+        gf2.vec_mat_mul(v, from_strings(["1001", "0110", "1111"]))
+
+
+@pytest.mark.parametrize("nrows", [1, 3, 7, 9, 15])
+def test_vec_mat_mul_refuses_a_set_padding_bit(nrows):
+    m = BitMatrix(5, (0b10101,) * nrows)
+    v = pack([0, 1 << nrows - 1], nrows)
+    assert unpack(gf2.vec_mat_mul(v, m)) == [0, 0b10101]
+    for bit in range(nrows, 8 * v.shape[1]):
+        with pytest.raises(gf2.DimensionError, match="beyond"):
+            gf2.vec_mat_mul(pack([0, 1 << bit], 8 * v.shape[1]), m)
