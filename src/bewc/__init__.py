@@ -17,10 +17,8 @@ from .codes import (
 from .coset import Codebook, EncoderMatrices, build_encoder, codebook, decode, encode
 from .equivocation import (
     EquivocationCurve,
-    ErasurePattern,
     GapReport,
     McEstimate,
-    Observation,
     RankProfile,
     achievability_gap,
     curve,
@@ -38,6 +36,6 @@ from .experiments import (
     family_sweep,
     simulate_session,
 )
-from .gf2 import BitMatrix, BitVec
+from .gf2 import BitMatrix
 
 __version__ = "0.1.0"

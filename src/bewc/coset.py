@@ -74,7 +74,7 @@ class Codebook:
         n = self.code.n
         lines = ["m | codewords"]
         for m, coset in enumerate(self.cosets.tolist()):
-            words = " ".join(format(w, f"0{n}b")[::-1] for w in coset)
+            words = " ".join(gf2.to01(w, n) for w in coset)
             lines.append(f"{m} | {words}")
         return "\n".join(lines)
 

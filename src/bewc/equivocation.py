@@ -1,10 +1,14 @@
 """Eavesdropper equivocation over the binary erasure channel.
 
-Per-observation entropy for a coset code depends only on which positions
-were erased: with µ positions revealed, it is k − µ + rank(G_µ), where G_µ
-is the generator restricted to the revealed columns (`pattern_equivocation`,
-the reference).  Sampled patterns are scored by one batched kernel,
-`PatternEntropy`, which counts the words of C⊥ or C an erasure hides.
+An erasure pattern is the int mask of the positions the eavesdropper sees
+unerased (bit i = position i), and an observation is that mask plus the
+word it reveals.  Per-observation entropy for a coset code depends only on
+the mask: with µ positions revealed, it is k − µ + rank(G_µ), where G_µ is
+the generator restricted to the revealed columns (`pattern_equivocation`,
+the reference; `observation_equivocation_oracle` counts cosets instead).
+Sampled patterns are scored by one batched kernel, `PatternEntropy`, on
+erased masks packed as `gf2.pack` packs; it counts the words of C⊥ or C an
+erasure hides.
 
 Exact equivocation tallies all 2^n erasure patterns into a rank profile
 N(µ, r) with one subset-sum transform over the words of C⊥ or C, never
@@ -36,83 +40,36 @@ EVAL_BLOCK_ENTRIES = 1 << 18
 CI95 = 1.96
 
 
-@dataclass(frozen=True)
-class ErasurePattern:
-    """Which positions the eavesdropper received unerased."""
-
-    n: int
-    revealed: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        prev = -1
-        for i in self.revealed:
-            if not 0 <= i < self.n:
-                raise ValueError(f"position {i} out of range")
-            if i <= prev:
-                raise ValueError("revealed positions must be strictly increasing")
-            prev = i
-
-    @property
-    def mu(self) -> int:
-        return len(self.revealed)
-
-    @classmethod
-    def from_mask(cls, n: int, mask: int) -> "ErasurePattern":
-        return cls(n, tuple(i for i in range(n) if (mask >> i) & 1))
+def _check_mask(code: CodeSpec, mask: int) -> None:
+    if mask < 0 or mask >> code.n:
+        raise gf2.DimensionError(f"mask {mask:#x} has bits outside the code's {code.n} positions")
 
 
-@dataclass(frozen=True)
-class Observation:
-    """A received word over {0, 1, ?}; leftmost symbol is position 0."""
-
-    symbols: str
-
-    def __post_init__(self) -> None:
-        if not set(self.symbols) <= {"0", "1", "?"}:
-            raise ValueError(f"bad observation alphabet in {self.symbols!r}")
-
-    @property
-    def n(self) -> int:
-        return len(self.symbols)
-
-    def pattern(self) -> ErasurePattern:
-        return ErasurePattern.from_mask(self.n, self.revealed_mask_and_word()[0])
-
-    def revealed_mask_and_word(self) -> tuple[int, int]:
-        mask = word = 0
-        for i, c in enumerate(self.symbols):
-            if c != "?":
-                mask |= 1 << i
-                if c == "1":
-                    word |= 1 << i
-        return mask, word
-
-
-def pattern_equivocation(code: CodeSpec, pat: ErasurePattern) -> int:
-    """Bits of uncertainty left about the message: k − µ + rank(G_µ)."""
-    if pat.n != code.n:
-        raise gf2.DimensionError(f"pattern n={pat.n} but code n={code.n}")
-    revealed = sum(1 << i for i in pat.revealed)
+def pattern_equivocation(code: CodeSpec, revealed: int) -> int:
+    """Bits of uncertainty left about the message when the positions of the
+    mask `revealed` arrive unerased: k − µ + rank(G_µ)."""
+    _check_mask(code, revealed)
     # G with its erased columns zeroed has the rank of G_µ.
     g_mu = gf2.BitMatrix(code.n, tuple(g & revealed for g in code.G.rows))
-    return code.k - pat.mu + gf2.rank(g_mu)
+    return code.k - revealed.bit_count() + gf2.rank(g_mu)
 
 
 def observation_equivocation_oracle(
-    code: CodeSpec, z: Observation, book: Optional[Codebook] = None
+    code: CodeSpec, mask: int, word: int, book: Optional[Codebook] = None
 ) -> float:
-    """Entropy of the message posterior by direct coset counting.
+    """Entropy of the message posterior by direct coset counting, for the
+    observation that reveals the positions of `mask` with the values of `word`.
 
-    Counts the codewords of every coset consistent with z and takes the
-    Shannon entropy of the induced distribution; no rank formula and no
-    assumption of within-coset uniformity.
+    Counts the codewords of every coset consistent with the observation and
+    takes the Shannon entropy of the induced distribution; no rank formula and
+    no assumption of within-coset uniformity.
     """
-    if z.n != code.n:
-        raise gf2.DimensionError(f"observation n={z.n} but code n={code.n}")
+    _check_mask(code, mask)
+    if word & ~mask:
+        raise gf2.DimensionError("observed word has bits outside the revealed mask")
     if book is None:
         book = codebook(code)
-    mask, word = z.revealed_mask_and_word()
-    counts = np.count_nonzero((book.cosets & mask) == word, axis=1).tolist()
+    counts = ((book.cosets & mask) == word).sum(axis=1).tolist()
     total = sum(counts)
     return -sum((c / total) * math.log2(c / total) for c in counts if c)
 
@@ -151,18 +108,16 @@ class PatternEntropy:
             self.span = None
             self.cols_h, self.cols_g = gf2.column_ints(code.H), gf2.column_ints(code.G)
             return
-        width = 8 * ((code.n + 63) // 64)
-        # (2^d − 1, words) little-endian; the zero word is counted up front.
-        self.span = np.array([np.frombuffer(c.to_bytes(width, "little"), "<u8")
-                              for c in _smaller_row_space(code)[1:]])
+        # (2^d − 1, ⌈n/64⌉) uint64 words; the zero word is counted up front.
+        self.span = gf2.pack(_smaller_row_space(code)[1:], 64 * ((code.n + 63) // 64)).view("<u8")
 
     def __call__(self, erased: np.ndarray) -> np.ndarray:
-        """Entropies (int64) of the patterns in an (N, ⌈n/8⌉) little-endian
-        packed erased-mask array."""
+        """Entropies (int64) of the patterns in an (N, ⌈n/8⌉) batch of
+        erased-position masks, packed as `gf2.pack` packs."""
         nerased = _POPCOUNT8[erased].sum(axis=1)
         if self.span is None:
-            return np.array([self._eliminate(int.from_bytes(row.tobytes(), "little"), int(e))
-                             for row, e in zip(erased, nerased)], dtype=np.int64)
+            return np.array([self._eliminate(row, int(e))
+                             for row, e in zip(gf2.unpack(erased), nerased)], dtype=np.int64)
         padded = np.zeros((len(erased), 8 * self.span.shape[1]), dtype=np.uint8)
         padded[:, : erased.shape[1]] = erased
         m = np.ascontiguousarray(padded.view("<u8").T)  # (words, N)

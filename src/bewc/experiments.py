@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import codes, coset, equivocation as eq
+from . import codes, coset, equivocation as eq, gf2
 from .codes import CodeSpec, GuardError, RandomCodeParams, derive_seed, make_rng
 from .equivocation import CI95, EquivocationCurve, GapReport
 from .gf2 import BitMatrix
@@ -81,8 +81,7 @@ def simulate_session(code: CodeSpec, eps: float, trials: int, seed: int) -> Sess
     n, k, dim = code.n, code.k, code.dim
     mb, vb = (k + 7) // 8, (dim + 7) // 8
     # Byte masks that keep the low k (dim) bits of a packed row.
-    mask_m = np.frombuffer(((1 << k) - 1).to_bytes(mb, "little"), dtype=np.uint8)
-    mask_v = np.frombuffer(((1 << dim) - 1).to_bytes(vb, "little"), dtype=np.uint8)
+    mask_m, mask_v = gf2.pack([(1 << k) - 1], k)[0], gf2.pack([(1 << dim) - 1], dim)[0]
     rng = make_rng(seed, "session")
     bob_ok = 0
     s = ss = 0

@@ -1,10 +1,13 @@
-"""Bit-packed linear algebra over GF(2).
+"""Bit-packed linear algebra over GF(2), and the package's two bit formats.
 
-Rows are arbitrary-precision Python ints; bit i of a row is column i
-(little-endian within the int).  Row operations are single XORs, which is
-what the rank inner loops need.  `vec_mat_mul` alone works on a batch of
-vectors, packed into a uint8 array, one vector per row.  Everything here is
-a pure function; nothing mutates its inputs.
+A row, vector, erasure pattern or observed word is a Python int whose bit i
+is position i, so a row operation is one XOR.  A batch of vectors is an
+(N, ⌈bits/8⌉) uint8 array, one vector per row, with bit j of byte b at
+position 8b + j (the layout of `np.packbits(..., bitorder="little")`);
+`vec_mat_mul` alone computes on batches.  `pack` and `unpack` are the only
+conversions between the two formats, and `to01` and `from01` the only ones
+to and from '01' strings, whose leftmost character is position 0.  Everything
+here is a pure function; nothing mutates its inputs.
 
 A matrix with zero rows or zero columns is legal (rank 0); full-rank null
 spaces produce them.
@@ -13,7 +16,7 @@ spaces produce them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -22,37 +25,31 @@ class DimensionError(ValueError):
     """Operand shapes do not line up."""
 
 
-@dataclass(frozen=True)
-class BitVec:
-    """A length-n bit vector packed into one int (bit i = coordinate i)."""
+def to01(word: int, length: int) -> str:
+    """The '01' string of a length-bit word."""
+    if word < 0 or word >> length:
+        raise DimensionError(f"word has bits beyond its length {length}")
+    return format(word | 1 << length, "b")[:0:-1]  # the marker bit keeps leading zeros
 
-    length: int
-    word: int = 0
 
-    def __post_init__(self) -> None:
-        if self.length < 0:
-            raise ValueError("length must be nonnegative")
-        if self.word < 0 or self.word >> self.length:
-            raise ValueError("bits set beyond length")
+def from01(s: str) -> int:
+    """The word of a '01' string."""
+    # Before int(), which also takes "1_0", " 10", "+10", "10\n" and "١٠".
+    if not set(s) <= {"0", "1"}:
+        raise ValueError(f"not a bit string: {s!r}")
+    return int(s[::-1] or "0", 2)
 
-    @classmethod
-    def from_bits(cls, bits: Iterable[int]) -> "BitVec":
-        bits = list(bits)
-        word = 0
-        for i, b in enumerate(bits):
-            if b:
-                word |= 1 << i
-        return cls(len(bits), word)
 
-    @classmethod
-    def from_string(cls, s: str) -> "BitVec":
-        """Parse a '01' string; leftmost character is coordinate 0."""
-        if not set(s) <= {"0", "1"}:
-            raise ValueError(f"not a bit string: {s!r}")
-        return cls.from_bits(int(c) for c in s)
+def pack(words: Sequence[int], nbits: int) -> np.ndarray:
+    """nbits-bit words as an (N, ⌈nbits/8⌉) uint8 batch, one word per row."""
+    nb = (nbits + 7) // 8
+    data = b"".join(w.to_bytes(nb, "little") for w in words)
+    return np.frombuffer(data, dtype=np.uint8).reshape(len(words), nb)
 
-    def to01(self) -> str:
-        return "".join("1" if (self.word >> i) & 1 else "0" for i in range(self.length))
+
+def unpack(rows: np.ndarray) -> list[int]:
+    """The rows of a packed batch as words."""
+    return [int.from_bytes(r.tobytes(), "little") for r in rows]
 
 
 @dataclass(frozen=True)
@@ -73,11 +70,8 @@ class BitMatrix:
     def nrows(self) -> int:
         return len(self.rows)
 
-    def row(self, i: int) -> BitVec:
-        return BitVec(self.cols, self.rows[i])
-
     def row_strings(self) -> list[str]:
-        return [self.row(i).to01() for i in range(self.nrows)]
+        return [to01(r, self.cols) for r in self.rows]
 
 
 def column_ints(m: BitMatrix) -> list[int]:
@@ -164,9 +158,8 @@ def vec_mat_mul(v: np.ndarray, m: BitMatrix) -> np.ndarray:
     the rows of m selected by row i of v.
 
     v is (N, ⌈m.nrows/8⌉) uint8 and the result (N, ⌈m.cols/8⌉) uint8, both
-    packed as `np.packbits(..., bitorder="little")` packs (bit j of byte b is
-    coordinate 8b + j).  Each byte of v indexes a 256-entry table of the XORs
-    of every subset of the eight rows of m it covers.
+    packed as `pack` packs.  Each byte of v indexes a 256-entry table of the
+    XORs of every subset of the eight rows of m it covers.
     """
     nb, ob = (m.nrows + 7) // 8, (m.cols + 7) // 8
     if v.dtype != np.uint8 or v.ndim != 2 or v.shape[1] != nb:
@@ -175,9 +168,7 @@ def vec_mat_mul(v: np.ndarray, m: BitMatrix) -> np.ndarray:
     if m.nrows % 8 and np.any(v[:, -1] >> (m.nrows % 8)):
         raise DimensionError(f"bits set beyond the {m.nrows} rows")
     rows = np.zeros((8 * nb, ob), dtype=np.uint8)
-    rows[: m.nrows] = np.frombuffer(
-        b"".join(r.to_bytes(ob, "little") for r in m.rows), dtype=np.uint8
-    ).reshape(m.nrows, ob)
+    rows[: m.nrows] = pack(m.rows, m.cols)
     tables = np.zeros((nb, 256, ob), dtype=np.uint8)
     for j in range(8):  # by doubling: entry s | 2^j = entry s ^ row j
         tables[:, 1 << j : 2 << j] = tables[:, : 1 << j] ^ rows[j::8, None]

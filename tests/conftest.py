@@ -1,19 +1,17 @@
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 import bewc
 from bewc.codes import RandomCodeParams
-from bewc.gf2 import BitMatrix, BitVec
+from bewc.gf2 import BitMatrix, from01
 
 
 def from_strings(rows: list[str]) -> BitMatrix:
     """A BitMatrix from '01' strings; the leftmost character is column 0."""
     widths = {len(r) for r in rows}
     assert len(widths) <= 1, "ragged rows"
-    return BitMatrix(widths.pop() if widths else 0,
-                     tuple(BitVec.from_string(r).word for r in rows))
+    return BitMatrix(widths.pop() if widths else 0, tuple(from01(r) for r in rows))
 
 
 def identity(n: int) -> BitMatrix:
@@ -24,17 +22,24 @@ def zeros(nrows: int, cols: int) -> BitMatrix:
     return BitMatrix(cols, (0,) * nrows)
 
 
-def pack(words: list[int], nbits: int) -> np.ndarray:
-    """Python-int vectors as an (N, ⌈nbits/8⌉) uint8 batch, one per row, packed
-    little-endian as `gf2.vec_mat_mul` takes them."""
-    nb = (nbits + 7) // 8
-    data = b"".join(w.to_bytes(nb, "little") for w in words)
-    return np.frombuffer(data, dtype=np.uint8).reshape(len(words), nb)
+def observation(symbols: str) -> tuple[int, int]:
+    """The (revealed mask, word) of an observation over {0, 1, ?}; the
+    leftmost symbol is position 0."""
+    return from01(symbols.replace("0", "1").replace("?", "0")), from01(symbols.replace("?", "0"))
 
 
-def unpack(rows: np.ndarray) -> list[int]:
-    """The rows of a packed batch as Python ints (bit i = coordinate i)."""
-    return [int.from_bytes(r.tobytes(), "little") for r in rows]
+def all_observations(n: int) -> list[tuple[int, int]]:
+    """All 3^n observations of n positions as (revealed mask, word) pairs,
+    grouped by mask: every word whose bits lie inside its mask."""
+    out = []
+    for mask in range(1 << n):
+        word = mask
+        while True:  # the submasks of mask, down to 0
+            out.append((mask, word))
+            if not word:
+                break
+            word = (word - 1) & mask
+    return out
 
 
 @pytest.fixture

@@ -15,7 +15,6 @@ test_equivocation.py gives the same n=7 value. The published values that
 agree with these (simplex n=15, both families at n=31 and 63) stay as targets.
 """
 
-import itertools
 import math
 import time
 from fractions import Fraction
@@ -26,8 +25,9 @@ import pytest
 import bewc
 from bewc import cli, codes, equivocation as eq
 from bewc.codes import derive_seed
-from bewc.equivocation import ErasurePattern, Observation
-from conftest import exact_gap_by_dual_count, from_strings, pack, random_code, unpack
+from bewc.gf2 import pack, unpack
+from conftest import (all_observations, exact_gap_by_dual_count, from_strings, observation,
+                      random_code)
 
 GRID = [round(0.01 * i, 2) for i in range(1, 100)]
 # Exact Ag at ε = R: Hamming and simplex n=7 (equal by duality), Hamming n=15.
@@ -165,16 +165,16 @@ def test_criterion_6_theorem_oracle_equivalence():
         code = random_code(n, dim, seed=60000 + trial)
         book = bewc.codebook(code)
         if n <= 8:
-            observations = ("".join(z) for z in itertools.product("01?", repeat=n))
+            observations = all_observations(n)
         else:
-            observations = (
-                "".join(rng.choice(list("01?"), size=n)) for _ in range(1000)
-            )
-        for syms in observations:
-            obs = Observation(syms)
+            observations = [observation("".join(rng.choice(list("01?"), size=n)))
+                            for _ in range(1000)]
+        # The rank formula depends on the mask alone: once per distinct mask.
+        formula = {mask: bewc.pattern_equivocation(code, mask)
+                   for mask in {mask for mask, _ in observations}}
+        for mask, word in observations:
             total_obs += 1
-            if bewc.observation_equivocation_oracle(code, obs, book) != \
-                    bewc.pattern_equivocation(code, obs.pattern()):
+            if bewc.observation_equivocation_oracle(code, mask, word, book) != formula[mask]:
                 mismatches += 1
     ok = mismatches == 0
     assert report(6, ok, f"200 codes, {total_obs} observations, {mismatches} mismatches")
@@ -189,12 +189,8 @@ def test_criterion_7_exact_vs_ternary():
         code = random_code(n, dim, seed=70000 + trial)
         book = bewc.codebook(code)
         # Entropy per observation once; probability weights per eps after.
-        per_obs = []
-        for z in itertools.product("01?", repeat=n):
-            obs = Observation("".join(z))
-            per_obs.append(
-                (obs.pattern().mu, bewc.observation_equivocation_oracle(code, obs, book))
-            )
+        per_obs = [(mask.bit_count(), bewc.observation_equivocation_oracle(code, mask, word, book))
+                   for mask, word in all_observations(n)]
         prof = bewc.rank_profile(code)
         for eps in eps_values:
             brute = sum(

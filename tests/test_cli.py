@@ -2,6 +2,7 @@ import argparse
 import io
 import json
 import os
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from unittest import mock
 
@@ -127,6 +128,23 @@ def test_code_validate_rejects_huge_zero_dim_before_null_space(tmp_path, capsys,
     rc, _, stderr = run(["code", "validate", str(f)], capsys)
     assert rc == 1
     assert stderr == "invalid: need 1 <= dim < n, got dim=0, n=60000\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["code", "validate", "{file}"],  # one all-ones row: rank(H) alone once took 21 s
+    ["gap", "--random", "--n", "20000", "--dim", "1", "--alpha", "0.5"],
+])
+def test_code_too_costly_to_build_is_refused_at_once(argv, tmp_path, capsys, monkeypatch):
+    def no_null_space(m):
+        raise AssertionError("null space computed before the build budget was checked")
+    monkeypatch.setattr(bewc.gf2, "null_space", no_null_space)
+    f = tmp_path / "wide.json"
+    f.write_text(json.dumps({"name": "x", "n": 8000, "dim": 1, "generator_rows": ["1" * 8000]}))
+    start = time.perf_counter()
+    rc, _, stderr = run([a.replace("{file}", str(f)) for a in argv], capsys)
+    assert time.perf_counter() - start < 1.0
+    assert rc == 2
+    assert stderr.startswith("guard violation: building a code of length n=")
 
 
 def test_code_validate_accepts_good_file(tmp_path, capsys, ex1):

@@ -6,9 +6,9 @@ from hypothesis import given, settings, strategies as st
 import bewc
 from bewc import codes, gf2
 from bewc.codes import CodeError, RandomCodeParams
-from bewc.gf2 import BitMatrix
+from bewc.gf2 import BitMatrix, pack, unpack
 
-from conftest import from_strings, identity, pack, random_code, unpack
+from conftest import from_strings, identity, random_code
 
 
 def assert_valid(code):
@@ -243,6 +243,16 @@ def test_parse_rejects_integer_rows():
         codes.parse('{"name": "x", "n": 3, "dim": 1, "generator_rows": [111]}')
     with pytest.raises(CodeError, match="must be integers"):
         codes.parse('{"name": "x", "n": 4.0, "dim": 1, "generator_rows": ["1011"]}')
+
+
+def test_build_budget_admits_the_paper_codes_and_refuses_longer_ones():
+    for n, dim in [(255, 247), (255, 8), (127, 60), (64, 32), (2324, 1), (2324, 2323)]:
+        codes.check_shape(n, dim)
+    for n in (2325, 10**7):
+        with pytest.raises(codes.GuardError, match=f"length n={n}"):
+            codes.check_shape(n, 1)
+    with pytest.raises(codes.GuardError):  # before any draw
+        RandomCodeParams(n=20000, dim=1, alpha=0.5, seed=0)
 
 
 def test_from_generator_checks_shape_before_null_space(monkeypatch):

@@ -4,9 +4,9 @@ from hypothesis import given, settings, strategies as st
 
 import bewc
 from bewc import codes, coset, gf2
-from bewc.gf2 import BitMatrix
+from bewc.gf2 import BitMatrix, pack, unpack
 
-from conftest import identity, pack, random_code, unpack
+from conftest import identity, random_code
 
 
 def stacked_rank(enc):

@@ -8,9 +8,10 @@ from hypothesis import assume, given, settings, strategies as st
 
 import bewc
 from bewc import codes, equivocation as eq, gf2
-from bewc.equivocation import ErasurePattern, Observation, PatternEntropy
+from bewc.equivocation import PatternEntropy
+from bewc.gf2 import pack
 
-from conftest import dual_words, from_strings, random_code
+from conftest import all_observations, dual_words, from_strings, observation, random_code
 
 
 def ternary_brute_force(code, eps, book=None):
@@ -20,77 +21,46 @@ def ternary_brute_force(code, eps, book=None):
         book = bewc.codebook(code)
     n = code.n
     total = 0.0
-    for z in itertools.product("01?", repeat=n):
-        obs = Observation("".join(z))
-        mu = obs.pattern().mu
+    for mask, word in all_observations(n):
+        mu = mask.bit_count()
         p = eps ** (n - mu) * (1 - eps) ** mu / 2**mu
-        total += p * bewc.observation_equivocation_oracle(code, obs, book)
+        total += p * bewc.observation_equivocation_oracle(code, mask, word, book)
     return total
 
 
 # ---------------------------------------------------------------- Theorem-1 entropy
 
 def test_pattern_equivocation_examples(ex1):
-    assert bewc.pattern_equivocation(ex1, ErasurePattern(4, (0, 3))) == 1  # w??w
-    assert bewc.pattern_equivocation(ex1, ErasurePattern(4, (0, 1))) == 2  # ww??
+    assert bewc.pattern_equivocation(ex1, 0b1001) == 1  # w??w
+    assert bewc.pattern_equivocation(ex1, 0b0011) == 2  # ww??
 
 
 def test_pattern_equivocation_extremes(ex1):
-    assert bewc.pattern_equivocation(ex1, ErasurePattern(4, ())) == ex1.k
-    assert bewc.pattern_equivocation(ex1, ErasurePattern(4, (0, 1, 2, 3))) == 0
+    assert bewc.pattern_equivocation(ex1, 0) == ex1.k
+    assert bewc.pattern_equivocation(ex1, 0b1111) == 0
     h3 = bewc.hamming_base(3)
-    assert bewc.pattern_equivocation(h3, ErasurePattern(7, ())) == h3.k
-    assert bewc.pattern_equivocation(h3, ErasurePattern(7, tuple(range(7)))) == 0
+    assert bewc.pattern_equivocation(h3, 0) == h3.k
+    assert bewc.pattern_equivocation(h3, (1 << 7) - 1) == 0
 
 
 def test_pattern_equivocation_dimension_check(ex1):
-    with pytest.raises(gf2.DimensionError):
-        bewc.pattern_equivocation(ex1, ErasurePattern(5, (0,)))
-
-
-@pytest.mark.parametrize("revealed, message", [
-    ((4,), "position 4 out of range"),
-    ((-1,), "position -1 out of range"),
-    ((1, 1), "strictly increasing"),
-    ((2, 0), "strictly increasing"),
-])
-def test_erasure_pattern_refuses_bad_positions(revealed, message):
-    with pytest.raises(ValueError, match=message):
-        ErasurePattern(4, revealed)
-
-
-@pytest.mark.parametrize("symbols", ["01?2", "0 1", "x??", "1?-"])
-def test_observation_refuses_bad_symbols(symbols):
-    with pytest.raises(ValueError, match="bad observation alphabet"):
-        Observation(symbols)
-
-
-def test_observation_pattern_is_the_unerased_positions():
-    assert Observation("1??0?1").pattern() == ErasurePattern(6, (0, 3, 5))
-    assert Observation("???").pattern() == ErasurePattern(3, ())
-    assert Observation("0110").pattern() == ErasurePattern(4, (0, 1, 2, 3))
+    for mask in (1 << 4, -1):  # a fifth position; no positions at all
+        with pytest.raises(gf2.DimensionError, match="outside the code's 4 positions"):
+            bewc.pattern_equivocation(ex1, mask)
 
 
 @given(st.integers(0, 2**9 - 1), st.integers(0, 10**6))
 @settings(max_examples=60, deadline=None)
 def test_pattern_entropy_within_erasure_bound(mask, seed):
     code = random_code(9, 4, seed=seed % 50)
-    pat = ErasurePattern.from_mask(9, mask)
-    h = bewc.pattern_equivocation(code, pat)
-    assert 0 <= h <= min(code.k, code.n - pat.mu)
-
-
-def _packed_erased(n, masks):
-    """(N, ⌈n/8⌉) little-endian packed erased-position masks."""
-    nbytes = (n + 7) // 8
-    return np.array([list(m.to_bytes(nbytes, "little")) for m in masks], dtype=np.uint8)
+    h = bewc.pattern_equivocation(code, mask)
+    assert 0 <= h <= min(code.k, code.n - mask.bit_count())
 
 
 def _assert_kernel_matches_generator_formula(code, erased_masks):
-    got = PatternEntropy(code)(_packed_erased(code.n, erased_masks))
+    got = PatternEntropy(code)(pack(erased_masks, code.n))
     full = (1 << code.n) - 1
-    want = [bewc.pattern_equivocation(code, ErasurePattern.from_mask(code.n, full ^ m))
-            for m in erased_masks]
+    want = [bewc.pattern_equivocation(code, full ^ m) for m in erased_masks]
     assert got.tolist() == want
 
 
@@ -123,17 +93,36 @@ def test_entropy_kernel_scalar_path_and_long_codes():
 # ---------------------------------------------------------------- oracle
 
 def test_oracle_example_observation(ex1):
-    assert bewc.observation_equivocation_oracle(ex1, Observation("10??")) == pytest.approx(2.0)
+    assert observation("10??") == (0b0011, 0b0001)
+    assert bewc.observation_equivocation_oracle(ex1, 0b0011, 0b0001) == pytest.approx(2.0)
 
 
 def test_oracle_fully_revealed_word(ex1):
-    assert bewc.observation_equivocation_oracle(ex1, Observation("0110")) == pytest.approx(0.0)
+    assert bewc.observation_equivocation_oracle(ex1, *observation("0110")) == pytest.approx(0.0)
+
+
+@pytest.mark.parametrize("mask, word, message", [
+    (1 << 4, 0, "outside the code's 4 positions"),
+    (-1, 0, "outside the code's 4 positions"),
+    (0b0011, 0b0100, "outside the revealed mask"),  # a value at an erased position
+    (0b0011, -1, "outside the revealed mask"),
+], ids=["wide-mask", "negative-mask", "word-outside-mask", "negative-word"])
+def test_oracle_refuses_a_bad_observation(ex1, mask, word, message):
+    with pytest.raises(gf2.DimensionError, match=message):
+        bewc.observation_equivocation_oracle(ex1, mask, word)
+
+
+def test_all_observations_are_the_ternary_words():
+    for n in range(5):
+        got = all_observations(n)
+        assert len(got) == 3**n
+        assert set(got) == {observation("".join(z)) for z in itertools.product("01?", repeat=n)}
 
 
 def test_oracle_guard():
     big = bewc.hamming_base(5)
     with pytest.raises(codes.GuardError):
-        bewc.observation_equivocation_oracle(big, Observation("?" * 31))
+        bewc.observation_equivocation_oracle(big, 0, 0)
 
 
 def test_oracle_matches_theorem_small_codes():
@@ -144,10 +133,9 @@ def test_oracle_matches_theorem_small_codes():
         code = random_code(n, dim, seed=seed)
         book = bewc.codebook(code)
         for _ in range(60):
-            syms = "".join(rng.choice(list("01?"), size=n))
-            obs = Observation(syms)
-            got = bewc.observation_equivocation_oracle(code, obs, book)
-            want = bewc.pattern_equivocation(code, obs.pattern())
+            mask, word = observation("".join(rng.choice(list("01?"), size=n)))
+            got = bewc.observation_equivocation_oracle(code, mask, word, book)
+            want = bewc.pattern_equivocation(code, mask)
             assert got == pytest.approx(want, abs=1e-12)
 
 
@@ -207,8 +195,8 @@ def test_rank_profile_matches_pattern_tally():
             for c in (code, _dual(code)):
                 want = {}
                 for mask in range(1 << n):
-                    pat = ErasurePattern.from_mask(n, mask)
-                    key = (pat.mu, bewc.pattern_equivocation(c, pat) - c.k + pat.mu)
+                    mu = mask.bit_count()
+                    key = (mu, bewc.pattern_equivocation(c, mask) - c.k + mu)
                     want[key] = want.get(key, 0) + 1
                 assert bewc.rank_profile(c).counts == want, (n, c.dim)
 
@@ -260,7 +248,7 @@ def test_pattern_equivocation_counts_hidden_dual_words(code, data):
     for revealed in masks:
         count = sum(1 for c in dual if c & ~revealed == 0)
         want = code.k - (count.bit_length() - 1)
-        assert bewc.pattern_equivocation(code, ErasurePattern.from_mask(code.n, revealed)) == want
+        assert bewc.pattern_equivocation(code, revealed) == want
 
 
 @settings(max_examples=200, deadline=None)
@@ -281,8 +269,8 @@ def test_pattern_entropy_duality(code, data):
     # sides unless k = dim.
     full = (1 << code.n) - 1
     masks = data.draw(st.lists(st.integers(0, full), min_size=1, max_size=16))
-    h = PatternEntropy(code)(_packed_erased(code.n, masks))
-    h_dual = PatternEntropy(_dual(code))(_packed_erased(code.n, [full ^ m for m in masks]))
+    h = PatternEntropy(code)(pack(masks, code.n))
+    h_dual = PatternEntropy(_dual(code))(pack([full ^ m for m in masks], code.n))
     assert h.tolist() == [m.bit_count() - code.dim + hd for m, hd in zip(masks, h_dual.tolist())]
 
 

@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from bewc import gf2
-from bewc.gf2 import BitMatrix
+from bewc.gf2 import BitMatrix, from01, pack, to01, unpack
 
-from conftest import from_strings, identity, pack, unpack, zeros
+from conftest import from_strings, identity, zeros
 
 
 def bitmatrix(max_rows=5, max_cols=8):
@@ -154,3 +154,39 @@ def test_vec_mat_mul_refuses_a_set_padding_bit(nrows):
     for bit in range(nrows, 8 * v.shape[1]):
         with pytest.raises(gf2.DimensionError, match="beyond"):
             gf2.vec_mat_mul(pack([0, 1 << bit], 8 * v.shape[1]), m)
+
+
+# ---------------------------------------------------------------- bit formats
+
+@pytest.mark.parametrize("s", ["1_0", " 10", "+10", "10\n", "١٠"])
+def test_from01_refuses_what_int_accepts(s):
+    assert int(s, 2) >= 0  # int() alone takes it
+    with pytest.raises(ValueError, match="not a bit string"):
+        from01(s)
+
+
+def test_to01_from01_round_trip():
+    rng = np.random.default_rng(5)
+    s = "".join(rng.choice(list("01"), size=5000))  # base 2 has no digit limit
+    assert to01(from01(s), len(s)) == s
+    assert from01("") == 0 and to01(0, 0) == ""
+    assert from01("0010") == 0b0100 and to01(0b0100, 4) == "0010"  # position 0 leftmost
+
+
+@pytest.mark.parametrize("word", [1 << 3, -1])
+def test_to01_refuses_a_word_beyond_its_length(word):
+    with pytest.raises(gf2.DimensionError):
+        to01(word, 3)
+
+
+@pytest.mark.parametrize("nbits", [1, 7, 8, 9, 63, 64, 65, 70])
+def test_pack_unpack_round_trip(nbits):
+    rng = np.random.default_rng(nbits)
+    words = [0, (1 << nbits) - 1] + [int.from_bytes(rng.bytes(9), "little") % (1 << nbits)
+                                     for _ in range(5)]
+    packed = pack(words, nbits)
+    assert packed.dtype == np.uint8 and packed.shape == (len(words), (nbits + 7) // 8)
+    assert unpack(packed) == words
+    bits = np.unpackbits(packed, axis=1, bitorder="little")  # bit j of byte b: position 8b + j
+    assert [sum(int(b) << i for i, b in enumerate(row)) for row in bits] == words
+    assert unpack(pack([], nbits)) == [] and pack([], nbits).shape == (0, (nbits + 7) // 8)
