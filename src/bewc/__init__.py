@@ -19,7 +19,6 @@ from .equivocation import (
     EquivocationCurve,
     GapReport,
     McEstimate,
-    RankProfile,
     achievability_gap,
     curve,
     exact_equivocation,

@@ -83,15 +83,16 @@ def _uniform_grid(npts: int) -> list[float]:
 
 
 def _grid(args, point_bytes: int) -> list[float]:
-    """--eps, or --grid uniform points (99 by default), refused before the list
-    is built when `point_bytes` per point would exceed GRID_BYTES_BUDGET."""
-    npts = len(args.eps) if args.eps else (99 if args.grid is None else args.grid)
+    """--eps, --grid uniform points, or else eq.DEFAULT_GRID, refused before the
+    list is built when `point_bytes` per point would exceed GRID_BYTES_BUDGET."""
+    points = args.eps or (eq.DEFAULT_GRID if args.grid is None else None)
+    npts = len(points) if points else args.grid
     if npts < 1:
         raise UsageError(f"--grid must be a positive number of points, got {npts}")
     if npts * point_bytes > GRID_BYTES_BUDGET:
         raise GuardError(f"{npts} eps points would hold {npts * point_bytes >> 20} MB of "
                          f"results, over the {GRID_BYTES_BUDGET >> 20} MB grid budget")
-    return list(args.eps) if args.eps else _uniform_grid(npts)
+    return list(points) if points else _uniform_grid(npts)
 
 
 def _config_echo(args) -> dict:
@@ -148,6 +149,9 @@ def cmd_code(args) -> int:
         if args.file is not None:
             raise UsageError("code make takes no FILE; pass it as --code FILE")
         code = _resolve_code(args)
+        if args.output is None and (code.name in ("", "..") or Path(code.name).name != code.name):
+            raise UsageError(f"code name {code.name!r} is not a plain file name; "
+                             "name the output with -o")
         _write(args, codes.serialize(code), Path(f"{code.name}.json"))
         print(f"{code.name}: n={code.n} dim={code.dim} k={code.k} R={code.rate:.6f}")
         return 0
@@ -303,8 +307,9 @@ def build_parser() -> _Parser:
         sp.add_argument("--format", choices=["csv", "json"], default="csv",
                         help="table format; gap, simulate and code always write JSON")
         if grid:
-            sp.add_argument("--grid", type=int, help="number of uniform eps points (default 99)")
-            sp.add_argument("--eps", type=float, nargs="+", help="explicit eps values")
+            points = sp.add_mutually_exclusive_group()
+            points.add_argument("--grid", type=int, help="uniform eps points (default 99)")
+            points.add_argument("--eps", type=float, nargs="+", help="explicit eps values")
         if mc:
             sp.add_argument("--trials", type=int, default=eq.DEFAULT_MC_TRIALS)
 

@@ -22,7 +22,13 @@ from . import gf2
 from .gf2 import BitMatrix
 
 SUBSPACE_ENUM_GUARD = 10**7
+# Each `random_base` attempt draws a (dim, n) generator and ranks it.  A draw
+# that is dependent again and again is sparse, and costs 14–22 ns per entry
+# (n = 2,000..2,324, 2-vCPU VM); a dense dependent one, at dim ≈ n, costs up to
+# 155 ns but fails only about 2 draws in 5.  So attempts stop at 1,000 or at
+# 10^8 entries in all, about 2 s: fifty draws at (1000, 2000).
 RANDOM_RANK_ATTEMPTS = 1000
+RANDOM_DRAW_BUDGET = 10**8
 # Building a code runs rref(G) for its null space, then rank(G), rank(H) and
 # G·Hᵀ.  Each makes up to about n² row operations (an XOR or AND of two n-bit
 # ints, ⌈n/64⌉ words): rank(H) alone makes k²/2 for one all-ones row, and
@@ -161,14 +167,15 @@ def simplex_base(r: int) -> CodeSpec:
 def random_base(p: RandomCodeParams) -> CodeSpec:
     """Bernoulli(alpha) generator, whole-matrix resampled until full rank."""
     rng = make_rng(p.seed)
-    for _ in range(RANDOM_RANK_ATTEMPTS):
+    attempts = min(RANDOM_RANK_ATTEMPTS, max(1, RANDOM_DRAW_BUDGET // (p.n * p.dim)))
+    for _ in range(attempts):
         bits = rng.random((p.dim, p.n)) < p.alpha
         G = BitMatrix(p.n, tuple(gf2.unpack(np.packbits(bits, axis=1, bitorder="little"))))
         if gf2.rank(G) == p.dim:
             return from_generator(G, f"random-{p.n}-{p.dim}-{p.alpha:g}-{p.seed}")
     raise CodeError(
         f"no full-rank Bernoulli({p.alpha}) generator of shape "
-        f"({p.dim}, {p.n}) in {RANDOM_RANK_ATTEMPTS} attempts"
+        f"({p.dim}, {p.n}) in {attempts} attempts"
     )
 
 
@@ -232,7 +239,7 @@ def serialize(code: CodeSpec) -> str:
 def parse(text: str) -> CodeSpec:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, RecursionError) as e:  # too deeply nested
         raise CodeError(f"malformed code document: {e}") from e
     if not isinstance(doc, dict):
         raise CodeError("code document must be a JSON object")

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -140,37 +139,16 @@ class PatternEntropy:
         return self.k - mu + gf2.masked_rank(self.cols_g, ((1 << self.n) - 1) ^ erased)
 
 
-@dataclass(frozen=True)
-class RankProfile:
-    """N(µ, r): revealed-subset counts by size µ and generator-submatrix rank r."""
-
-    n: int
-    dim: int
-    counts: dict[tuple[int, int], int]
-
-    @property
-    def k(self) -> int:
-        return self.n - self.dim
-
-    @cached_property
-    def coefficients(self) -> tuple[float, ...]:
-        """a[µ] = Σ_r N(µ, r)·(k − µ + r), computed once per profile; the
-        equivocation polynomial's pattern-entropy mass at each revealed count."""
-        k, a = self.k, [0] * (self.n + 1)
-        for (mu, r), c in self.counts.items():
-            a[mu] += c * (k - mu + r)
-        return tuple(float(x) for x in a)
-
-
 # Bits of S covered by one dense subset-sum table; the rest are looped over.
 # 2^15 int32 entries (128 KB) stay cache-sized and bound memory at any n;
 # 15 measured as fast as 16 or faster at n = 16..22, with half the memory.
 ZETA_LOW_BITS = 15
 
 
-def rank_profile(code: CodeSpec) -> RankProfile:
-    """Tally rank(G_µ) over all 2^n revealed-position subsets by one
-    subset-sum (zeta) transform, O(n·2^n) whatever min(k, dim) is.
+def rank_profile(code: CodeSpec) -> np.ndarray:
+    """N(µ, r) as an (n + 1, dim + 1) int64 array: revealed-position subsets by
+    size µ and rank r of G_µ, tallied over all 2^n subsets by one subset-sum
+    (zeta) transform, O(n·2^n) whatever min(k, dim) is.
 
     With D the row space of the smaller side, f[S] = #{c ∈ D : supp c ⊆ S}
     is a power of two for every S ⊆ [n].  On the H side (D = C⊥), S is the
@@ -200,23 +178,28 @@ def rank_profile(code: CodeSpec) -> RankProfile:
             v[:, 1] += v[:, 0]
         log_f = np.frexp(f)[1] - 1
         tally += np.bincount(base + (step * hi.bit_count() - log_f), minlength=tally.size)
-    counts = {divmod(i, dim + 1): c for i, c in enumerate(tally.tolist()) if c}
-    return RankProfile(n=n, dim=dim, counts=counts)
+    return tally.reshape(n + 1, dim + 1)
 
 
-def equivocation_bits(
-    coefficients: Sequence[Sequence[float]], grid: Sequence[float]
-) -> np.ndarray:
+def coefficients(profile: np.ndarray) -> np.ndarray:
+    """The polynomial's coefficients a[µ] = Σ_r N(µ, r)·(k − µ + r), summed in
+    int64; a[µ] ≤ n·2^n < 2^53 within the profile guard, so each float is exact."""
+    n1, d1 = profile.shape  # n + 1 and dim + 1, so k = n1 − d1
+    # Σ_r N(µ, r)·(k + r) − µ·Σ_r N(µ, r), one matrix-vector product.
+    return (profile @ np.arange(n1 - d1, n1) - np.arange(n1) * profile.sum(axis=1)).astype(float)
+
+
+def equivocation_bits(coeffs: Sequence[Sequence[float]], grid: Sequence[float]) -> np.ndarray:
     """H(M|Z) in bits of N codes at each ε of a grid, as an (N, len(grid)) array.
 
     Evaluates Σ_µ a[µ]·ε^(n−µ)(1−ε)^µ for each row a of an (N, n + 1) stack of
-    `RankProfile.coefficients`.  Terms are added in ascending µ (friendly at
-    small ε) as (a·ε^(n−µ))·(1−ε)^µ, and each power is Python's float `**`, not
-    numpy's, so a value does not depend on which codes or points share a call.
+    `coefficients`.  Terms are added in ascending µ (friendly at small ε) as
+    (a·ε^(n−µ))·(1−ε)^µ, and each power is Python's float `**`, not numpy's,
+    so a value does not depend on which codes or points share a call.
     Rows are summed EVAL_BLOCK_ENTRIES // len(grid) at a time through one
     block-sized scratch buffer.
     """
-    a = np.asarray(coefficients, dtype=float)
+    a = np.asarray(coeffs, dtype=float)
     grid = [float(eps) for eps in grid]  # np.float64 ** would be numpy's power
     for eps in grid:
         if not 0.0 <= eps <= 1.0:
@@ -238,9 +221,9 @@ def equivocation_bits(
     return total
 
 
-def exact_equivocation(profile: RankProfile, eps: float) -> float:
+def exact_equivocation(profile: np.ndarray, eps: float) -> float:
     """H(M|Z) in bits at one ε: Σ N(µ, r)·ε^(n−µ)(1−ε)^µ·(k − µ + r)."""
-    return float(equivocation_bits([profile.coefficients], [eps])[0, 0])
+    return float(equivocation_bits([coefficients(profile)], [eps])[0, 0])
 
 
 @dataclass(frozen=True)
@@ -353,7 +336,7 @@ def curve(
     method: str = "auto",
     trials: int = DEFAULT_MC_TRIALS,
     seed: int = 0,
-    profile: Optional[RankProfile] = None,
+    profile: Optional[np.ndarray] = None,
 ) -> EquivocationCurve:
     """Equivocation at each ε of a strictly increasing grid in [0, 1]."""
     grid = list(grid)
@@ -363,7 +346,7 @@ def curve(
     if method == "exact":
         if profile is None:
             profile = rank_profile(code)
-        bits = equivocation_bits([profile.coefficients], grid)[0].tolist()
+        bits = equivocation_bits([coefficients(profile)], grid)[0].tolist()
         points = [CurvePoint(eps=eps, bits=b, rate=b / n) for eps, b in zip(grid, bits)]
     else:
         points = []
@@ -387,7 +370,7 @@ def achievability_gap(
     method: str = "auto",
     trials: int = DEFAULT_MC_TRIALS,
     seed: int = 0,
-    profile: Optional[RankProfile] = None,
+    profile: Optional[np.ndarray] = None,
 ) -> GapReport:
     """A_g = R − equivocation rate at ε = R: distance from the asymptotic
     optimum, since secrecy capacity equals ε for this channel."""

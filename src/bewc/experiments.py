@@ -158,7 +158,7 @@ def exhaustive_search(n: int, dim: int, grid: Sequence[float]) -> SearchResult:
     coeffs = np.empty((count, n + 1))  # one row of profile coefficients per code
     for i, g in enumerate(codes.enumerate_subspaces(n, dim)):
         gens.append(g)
-        coeffs[i] = eq.rank_profile(codes.from_generator(g, name="search")).coefficients
+        coeffs[i] = eq.coefficients(eq.rank_profile(codes.from_generator(g, name="search")))
     bits = eq.equivocation_bits(coeffs, grid + (k / n,))  # gap point appended
     bits /= n
     rates = bits[:, :-1]

@@ -42,6 +42,27 @@ def test_code_make_default_name_lands_in_output_dir(tmp_path, monkeypatch, capsy
     assert not (tmp_path / "hamming-3.json").exists()
 
 
+@pytest.mark.parametrize("name", ["../escaped", "{tmp}/abs", "sub/x", ".", "..", ""])
+def test_code_make_refuses_a_name_that_is_not_a_file_name(name, tmp_path, monkeypatch, capsys):
+    # The default file is <name>.json in $BEWC_OUTPUT_DIR; a name with a
+    # separator, an absolute one or a dot name would write elsewhere.
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv(cli.OUTPUT_DIR_ENV, "out")
+    name = name.format(tmp=tmp_path)
+    src = tmp_path / "in.json"
+    src.write_text(json.dumps({"name": name, "n": 4, "dim": 2, "generator_rows": ["1011", "0110"]}))
+    before = sorted(tmp_path.rglob("*"))
+    rc, stdout, stderr = run(["code", "make", "--code", str(src)], capsys)
+    assert (rc, stdout) == (1, "")
+    assert stderr == (f"error: code name {name!r} is not a plain file name; "
+                      "name the output with -o\n")
+    assert sorted(tmp_path.rglob("*")) == before
+    # -o may still name any path.
+    rc, stdout, _ = run(["code", "make", "--code", str(src), "-o", str(tmp_path / "o.json")],
+                        capsys)
+    assert rc == 0 and codes.parse((tmp_path / "o.json").read_text()).name == name
+
+
 def test_code_show_prints_codebook(tmp_path, capsys, ex1):
     f = tmp_path / "ex1.json"
     f.write_text(codes.serialize(ex1))
@@ -154,6 +175,23 @@ def test_code_validate_accepts_good_file(tmp_path, capsys, ex1):
     assert rc == 0 and "valid" in stdout
 
 
+@pytest.mark.parametrize("argv", [
+    ["code", "validate", "{file}"],
+    ["gap", "--code", "{file}"],
+    ["ensemble", "--n", "7", "--dim", "4", "--alpha", "0.5", "--reference-file", "{file}"],
+])
+@pytest.mark.parametrize("text", ["[" * 100_000 + "]" * 100_000,
+                                  '{"a":' * 100_000 + "0" + "}" * 100_000], ids=["list", "dict"])
+def test_deeply_nested_code_file_gives_one_line(argv, text, tmp_path, capsys):
+    f = tmp_path / "deep.json"
+    f.write_text(text)
+    rc, stdout, stderr = run([a.replace("{file}", str(f)) for a in argv], capsys)
+    assert (rc, stdout) == (1, "")
+    assert stderr.startswith(("error: malformed code document: ",
+                              "invalid: malformed code document: "))
+    assert stderr.count("\n") == 1
+
+
 # ---------------------------------------------------------------- gap / curve
 
 def test_gap_exact_summary_line(capsys):
@@ -222,6 +260,21 @@ def test_curve_explicit_eps_endpoints(tmp_path, capsys):
     rates = [float(r.split(",")[2]) for r in rows]
     assert rates[0] == pytest.approx(0.0)
     assert rates[1] == pytest.approx(3 / 7)
+
+
+@pytest.mark.parametrize("argv", [
+    ["curve", "--family", "hamming", "--r", "3", "--method", "exact"],
+    ["search", "--n", "4", "--dim", "2"],
+    ["ensemble", "--n", "7", "--dim", "4", "--alpha", "0.5", "--reference-family", "hamming",
+     "--reference-r", "3", "--trials", "10"],
+])
+def test_grid_and_eps_are_exclusive(argv, tmp_path, capsys):
+    out = tmp_path / "o.csv"
+    rc, stdout, stderr = run(argv + ["--grid", "5", "--eps", "0.1", "0.2", "-o", str(out)],
+                             capsys)
+    assert (rc, stdout) == (1, "")
+    assert stderr.endswith("error: argument --eps: not allowed with argument --grid\n")
+    assert not out.exists()
 
 
 def test_curve_json_echoes_config(tmp_path, capsys):
@@ -386,6 +439,19 @@ def test_random_shape_rejected_before_any_draw(capsys, monkeypatch):
     assert stderr == "error: need 1 <= dim < n, got dim=5, n=3\n"
 
 
+@pytest.mark.parametrize("alpha", ["0.0001", "0.002"])
+def test_random_shape_that_never_draws_full_rank_is_refused_within_budget(alpha, capsys):
+    # Each attempt at (1000, 2000) draws and ranks 2·10^6 entries, so the draw
+    # budget allows fifty; 1,000 attempts took over 20 s.
+    start = time.perf_counter()
+    rc, stdout, stderr = run(["gap", "--random", "--n", "2000", "--dim", "1000", "--alpha", alpha,
+                              "--method", "mc", "--trials", "2"], capsys)
+    assert time.perf_counter() - start < 10.0
+    assert (rc, stdout) == (1, "")
+    assert stderr == (f"error: no full-rank Bernoulli({alpha}) generator of shape (1000, 2000) "
+                      "in 50 attempts\n")
+
+
 @pytest.mark.parametrize("error, message", [
     (MemoryError(), "guard violation: out of memory\n"),
     # The text numpy's allocation failure carries, raised here without the allocation.
@@ -411,6 +477,7 @@ _BAD_R = ["-1", "0", "1", "9", "zzz"]
 _BAD_FLOATS = ["nan", "inf", "-0.5", "1.5", "zzz", ""]
 _JUNK = ["--bogus", "zzz", "", "nan", "-1", "1e999", "--", "0x1f"]
 # Never left out: their defaults are 10^6 trials, 99 points and --rs 3 4 5 6.
+# Nor is a grid command's --eps given in place of --grid.
 _KEPT = ("--trials", "--grid", "--rs")
 
 
@@ -427,9 +494,11 @@ def _opts(draw, files, command):
     values or None for a switch, bad values, whether given unless faulted).
     --trials, --r, --n and --grid stay small, so each example takes milliseconds."""
     family = [("--family", _FAMILIES, ["golay"], True), ("--r", _ints(2, 4), _BAD_R, True)]
-    grid = [("--grid", _ints(1, 5), ["0", "-2", "nan", "2.5"], True),
-            ("--eps", st.lists(st.floats(0, 1), min_size=1, max_size=3, unique=True)
-             .map(lambda e: " ".join(map(repr, sorted(e)))), _BAD_FLOATS, False)]
+    eps = ("--eps", st.lists(st.floats(0, 1), min_size=1, max_size=3, unique=True)
+           .map(lambda e: " ".join(map(repr, sorted(e)))), _BAD_FLOATS)
+    # --grid, perhaps with the --eps it excludes, or --eps alone.
+    grid = draw(st.sampled_from([[("--grid", _ints(1, 5), ["0", "-2", "nan", "2.5"], True),
+                                  (*eps, False)], [(*eps, True)]]))
     method = [("--method", st.sampled_from(["exact", "mc", "auto"]), ["fast"], False)]
     trials = [("--trials", _ints(2, 200), ["0", "1", "-5", "nan", "1e3"], True)]
     common = [("--seed", st.integers(-2**70, 2**70).map(str), ["zzz", "nan"], False),
@@ -482,7 +551,8 @@ def _argv(draw, files):
                                max_size=draw(st.sampled_from([0, 0, 0, 1, 1, 2])))))
     groups = []
     for flag, good, bad, given in opts:
-        if flag in faults and (not bad or given and flag not in _KEPT and draw(st.booleans())):
+        kept = flag in _KEPT or flag == "--eps" and command != "simulate"
+        if flag in faults and (not bad or given and not kept and draw(st.booleans())):
             continue  # a required flag left out
         if flag not in faults and not given and draw(st.booleans()):
             continue

@@ -1,5 +1,7 @@
+import itertools
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -77,6 +79,43 @@ def test_random_base_deterministic():
     assert a == b
     c = random_code(4, 2, seed=100)
     assert a != c
+
+
+def _rank_checked_draw(n, dim, alpha, seed):
+    """The draws `random_base` must reproduce: resample the whole generator
+    until gf2.rank says it is full rank; returns G and its attempt index."""
+    rng = codes.make_rng(seed)
+    for attempt in itertools.count():
+        bits = rng.random((dim, n)) < alpha
+        G = BitMatrix(n, tuple(unpack(np.packbits(bits, axis=1, bitorder="little"))))
+        if gf2.rank(G) == dim:
+            return G, attempt
+
+
+@pytest.mark.parametrize("n, dim, alpha, seed, attempt", [
+    (4, 3, 0.5, 1, 2), (31, 26, 0.5, 12, 1),  # the first draws are dependent
+    (31, 26, 0.5, 1, 0), (16, 8, 0.5, 1, 0), (40, 20, 0.5, 5, 0), (38, 5, 0.5, 3, 0),
+    (9, 4, 0.3, 7, 0),
+])
+def test_random_base_keeps_the_rank_checked_draws(n, dim, alpha, seed, attempt):
+    G, want_attempt = _rank_checked_draw(n, dim, alpha, seed)
+    assert want_attempt == attempt
+    assert bewc.random_base(RandomCodeParams(n=n, dim=dim, alpha=alpha, seed=seed)).G == G
+
+
+def test_random_base_attempts_fit_the_draw_budget(monkeypatch):
+    draws = []
+    real = gf2.rank
+    monkeypatch.setattr(gf2, "rank", lambda G: draws.append(G) or real(G))
+    with pytest.raises(CodeError, match=r"^no full-rank Bernoulli\(1e-09\) generator of shape "
+                                        r"\(2, 4\) in 1000 attempts$"):
+        bewc.random_base(RandomCodeParams(n=4, dim=2, alpha=1e-9, seed=5))
+    assert len(draws) == codes.RANDOM_RANK_ATTEMPTS
+    draws.clear()
+    monkeypatch.setattr(codes, "RANDOM_DRAW_BUDGET", 30 * 4 * 2 + 7)  # 30 draws of 2×4
+    with pytest.raises(CodeError, match=r"in 30 attempts$"):
+        bewc.random_base(RandomCodeParams(n=4, dim=2, alpha=1e-9, seed=5))
+    assert len(draws) == 30
 
 
 def test_random_base_alpha_too_extreme():
@@ -266,21 +305,26 @@ def test_from_generator_checks_shape_before_null_space(monkeypatch):
 
 
 _FIELD = st.one_of(st.none(), st.booleans(), st.integers(-3, 14), st.floats(-2, 14),
-                   st.text("01a", max_size=12), st.lists(st.integers(0, 1), max_size=3))
+                   st.text("01a", max_size=12), st.lists(st.integers(0, 1), max_size=3),
+                   st.recursive(st.text("01", max_size=4),
+                                lambda inner: st.lists(inner, max_size=2)
+                                | st.dictionaries(st.sampled_from(["n", "dim"]), inner,
+                                                  max_size=2), max_leaves=4))
 
 
 @st.composite
 def code_documents(draw):
     """Code documents with n ≤ 12: well-formed about half the time, else with
-    one field or row of another type, a row of another width or alphabet, a
-    row too many or too few, or a field missing."""
+    one field or row of another type or nested value, a row of another width or
+    alphabet, a row too many or too few, a field missing, or the whole document
+    nested in lists or objects, up to past the JSON decoder's recursion limit."""
     n = draw(st.integers(0, 12))
     dim = draw(st.integers(0, n + 1))
     doc = {"name": draw(st.text(max_size=4)), "n": n, "dim": dim,
            "generator_rows": draw(st.lists(st.text("01", min_size=n, max_size=n),
                                            min_size=dim, max_size=dim))}
     fault = draw(st.sampled_from(["none"] * 8 + ["name", "n", "dim", "generator_rows", "row",
-                                                 "width", "count", "missing"]))
+                                                 "width", "count", "missing", "nested"]))
     rows = doc["generator_rows"]
     if fault in doc:
         doc[fault] = draw(_FIELD)
@@ -291,7 +335,12 @@ def code_documents(draw):
         doc["generator_rows"] = rows[1:] if rows and draw(st.booleans()) else rows + ["0" * n]
     elif fault == "missing":
         del doc[draw(st.sampled_from(sorted(doc)))]
-    return json.dumps(doc)
+    text = json.dumps(doc)
+    if fault == "nested":
+        depth = draw(st.sampled_from([1, 2, 100_000]))
+        opener, closer = draw(st.sampled_from([("[", "]"), ('{"doc":', "}")]))
+        text = opener * depth + text + closer * depth
+    return text
 
 
 @settings(max_examples=300, deadline=None)

@@ -143,15 +143,16 @@ def test_oracle_matches_theorem_small_codes():
 
 def test_rank_profile_example_code(ex1):
     prof = bewc.rank_profile(ex1)
-    assert prof.counts[(0, 0)] == 1
-    assert prof.counts[(4, 2)] == 1
-    assert sum(prof.counts.values()) == 16
+    assert prof.shape == (ex1.n + 1, ex1.dim + 1) and prof.dtype == np.int64
+    assert prof[0, 0] == 1
+    assert prof[4, 2] == 1
+    assert prof.sum() == 16
 
 
 def test_rank_profile_completeness_hamming3():
     prof = bewc.rank_profile(bewc.hamming_base(3))
-    assert sum(prof.counts.values()) == 128
-    assert prof.counts[(7, 4)] == 1  # the full revealed set
+    assert prof.sum() == 128
+    assert prof[7, 4] == 1  # the full revealed set
 
 
 def test_rank_profile_guard():
@@ -163,7 +164,7 @@ def test_rank_profile_guard():
 def test_rank_profile_row_space_invariance(ex1):
     # Same row space, different generator rows.
     other = bewc.from_generator(from_strings(["1111", "0110"]), "ex1b")
-    assert bewc.rank_profile(other).counts == bewc.rank_profile(ex1).counts
+    assert np.array_equal(bewc.rank_profile(other), bewc.rank_profile(ex1))
 
 
 def test_rank_profile_column_permutation_invariance():
@@ -177,7 +178,7 @@ def test_rank_profile_column_permutation_invariance():
                 w |= 1 << new_j
         rows.append(w)
     permuted = bewc.from_generator(gf2.BitMatrix(7, tuple(rows)), "perm")
-    assert bewc.rank_profile(permuted).counts == bewc.rank_profile(code).counts
+    assert np.array_equal(bewc.rank_profile(permuted), bewc.rank_profile(code))
 
 
 def _dual(code):
@@ -193,12 +194,11 @@ def test_rank_profile_matches_pattern_tally():
         for dim in sorted(dims):
             code = random_code(n, dim, seed=n * 100 + dim)
             for c in (code, _dual(code)):
-                want = {}
+                want = np.zeros((n + 1, c.dim + 1), dtype=np.int64)
                 for mask in range(1 << n):
                     mu = mask.bit_count()
-                    key = (mu, bewc.pattern_equivocation(c, mask) - c.k + mu)
-                    want[key] = want.get(key, 0) + 1
-                assert bewc.rank_profile(c).counts == want, (n, c.dim)
+                    want[mu, bewc.pattern_equivocation(c, mask) - c.k + mu] += 1
+                assert np.array_equal(bewc.rank_profile(c), want), (n, c.dim)
 
 
 @pytest.mark.parametrize("n, dim", [(17, 5), (17, 12), (18, 4), (18, 14)])
@@ -212,8 +212,7 @@ def test_rank_profile_blocked_matches_kernel_tally(n, dim):
     mu = n - np.unpackbits(packed, axis=1).sum(axis=1, dtype=np.int64)
     r = PatternEntropy(code)(packed) - code.k + mu
     tally = np.bincount(mu * (dim + 1) + r, minlength=(n + 1) * (dim + 1))
-    want = {divmod(i, dim + 1): c for i, c in enumerate(tally.tolist()) if c}
-    assert bewc.rank_profile(code).counts == want
+    assert np.array_equal(bewc.rank_profile(code), tally.reshape(n + 1, dim + 1))
 
 
 def test_rank_profile_duality_identity_n22():
@@ -257,9 +256,12 @@ def test_rank_profile_duality_relabel(code):
     # rank(H_E) = |E| − dim + rank(G_R) for E the complement of R, |R| = µ:
     # N_{C⊥}(n − µ, n − µ − dim + r) = N_C(µ, r).
     n, dim = code.n, code.dim
-    relabelled = {(n - mu, n - mu - dim + r): c
-                  for (mu, r), c in bewc.rank_profile(code).counts.items()}
-    assert bewc.rank_profile(_dual(code)).counts == relabelled
+    prof = bewc.rank_profile(code)
+    mu, r = np.nonzero(prof)
+    assert (n - mu - dim + r >= 0).all()
+    relabelled = np.zeros((n + 1, code.k + 1), dtype=np.int64)
+    relabelled[n - mu, n - mu - dim + r] = prof[mu, r]
+    assert np.array_equal(bewc.rank_profile(_dual(code)), relabelled)
 
 
 @settings(max_examples=200, deadline=None)
@@ -280,7 +282,7 @@ def test_rank_profile_does_not_score_patterns(monkeypatch):
 
     monkeypatch.setattr(eq, "PatternEntropy", refuse)
     monkeypatch.setattr(eq, "pattern_equivocation", refuse)
-    assert sum(bewc.rank_profile(random_code(18, 9, seed=1)).counts.values()) == 1 << 18
+    assert bewc.rank_profile(random_code(18, 9, seed=1)).sum() == 1 << 18
 
 
 # ---------------------------------------------------------------- exact evaluation
@@ -315,10 +317,20 @@ def test_exact_equivocation_rejects_bad_eps(ex1):
         bewc.exact_equivocation(prof, 1.5)
 
 
+def test_coefficients_are_the_integer_sums():
+    # a[µ] = Σ_r N(µ, r)·(k − µ + r) in Python ints, converted to float once,
+    # at the largest n the profile guard admits, with counts up to C(28, 14).
+    n, dim = eq.RANK_PROFILE_GUARD_N, 9
+    prof = np.random.default_rng(3).integers(0, math.comb(n, n // 2), size=(n + 1, dim + 1))
+    want = [float(sum(int(c) * (n - dim - mu + r) for r, c in enumerate(row)))
+            for mu, row in enumerate(prof)]
+    assert eq.coefficients(prof).tolist() == want
+
+
 def _scalar_bits(profile, eps):
     """The loop `equivocation_bits` must reproduce: ascending µ, Python powers."""
-    n, total = profile.n, 0.0
-    for mu, a in enumerate(profile.coefficients):
+    n, total = profile.shape[0] - 1, 0.0
+    for mu, a in enumerate(eq.coefficients(profile)):
         total += a * eps ** (n - mu) * (1.0 - eps) ** mu
     return total
 
@@ -326,7 +338,7 @@ def _scalar_bits(profile, eps):
 def test_equivocation_bits_matches_scalar_loop_bit_for_bit():
     profiles = [bewc.rank_profile(random_code(13, dim, seed=dim)) for dim in range(1, 13)]
     grid = [0.0, *eq.DEFAULT_GRID, 1.0, 5 / 13, np.float64(0.37)]  # in any order
-    bits = eq.equivocation_bits([p.coefficients for p in profiles], grid)
+    bits = eq.equivocation_bits([eq.coefficients(p) for p in profiles], grid)
     assert bits.shape == (12, len(grid))
     assert bits.tolist() == [[_scalar_bits(p, float(e)) for e in grid] for p in profiles]
 
@@ -334,7 +346,7 @@ def test_equivocation_bits_matches_scalar_loop_bit_for_bit():
 def test_equivocation_bits_blocks_match_single_rows(monkeypatch):
     # Three rows per scratch block, so 12 codes take four blocks.
     monkeypatch.setattr(eq, "EVAL_BLOCK_ENTRIES", 3 * len(eq.DEFAULT_GRID) + 1)
-    coeffs = [bewc.rank_profile(random_code(13, dim, seed=dim)).coefficients
+    coeffs = [eq.coefficients(bewc.rank_profile(random_code(13, dim, seed=dim)))
               for dim in range(1, 13)]
     bits = eq.equivocation_bits(coeffs, eq.DEFAULT_GRID)
     rows = [eq.equivocation_bits([a], eq.DEFAULT_GRID)[0] for a in coeffs]
