@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Achievability-gap tables for the Hamming and simplex families.
 
-Exact evaluation up to n = 15; Monte Carlo (N = 10^6 by default) for
-n = 31 and 63.  Writes gaps_<family>.csv, the CSV of `bewc sweep`.
+Every row is exact: the rank profile up to n = 15, the support profile at
+n = 31 and 63.  --trials and --seed are passed on, but only a Monte Carlo
+row would use them.  Writes gaps_<family>.csv, the CSV of `bewc sweep`.
 """
 
 import argparse

@@ -26,6 +26,7 @@ from .equivocation import (
     observation_equivocation_oracle,
     pattern_equivocation,
     rank_profile,
+    support_profile,
 )
 from .experiments import (
     EnsembleReport,

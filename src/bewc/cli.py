@@ -40,8 +40,7 @@ class UsageError(ValueError):
 
 
 class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # argparse defaults to exit code 2
-        self.print_usage(sys.stderr)
+    def error(self, message):  # argparse prints its usage and exits 2
         raise UsageError(message)
 
 
@@ -177,7 +176,7 @@ def cmd_code(args) -> int:
 
 def cmd_curve(args) -> int:
     code = _resolve_code(args)
-    tables = 16 * (code.n + 1) if eq.resolve_method(args.method, code.n) == "exact" else 0
+    tables = 16 * (code.n + 1) if eq.resolve_method(args.method, code) == "exact" else 0
     grid = _grid(args, POINT_BYTES + tables)  # tables: equivocation_bits' powers of ε
     cv = eq.curve(code, grid, method=args.method, trials=args.trials, seed=args.seed)
     if args.format == "json":

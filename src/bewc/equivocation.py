@@ -10,23 +10,26 @@ Sampled patterns are scored by one batched kernel, `PatternEntropy`, on
 erased masks packed as `gf2.pack` packs; it counts the words of C⊥ or C an
 erasure hides.
 
-Exact equivocation tallies all 2^n erasure patterns into a rank profile
-N(µ, r) with one subset-sum transform over the words of C⊥ or C, never
-scoring a pattern on its own; `equivocation_bits`, the one evaluator of the
-resulting polynomial in ε, serves points, curves, gaps and searches alike.
-Beyond the 2^n budget, an unbiased Monte Carlo estimator samples patterns.
+Exact equivocation counts all 2^n erasure patterns into a rank profile
+N(µ, r) without scoring a pattern on its own: up to n = 28 with one
+subset-sum transform over the words of C⊥ or C (`rank_profile`), above it
+from the support sizes of their subcodes (`support_profile`).
+`equivocation_bits`, the one evaluator of the resulting polynomial in ε,
+serves points, curves, gaps and searches alike.  Beyond both builders'
+budgets, an unbiased Monte Carlo estimator samples patterns.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Optional, Sequence
 
 import numpy as np
 
 from . import gf2
-from .codes import CodeSpec, GuardError, derive_seed, make_rng
+from .codes import CodeSpec, GuardError, derive_seed, gaussian_binomial, make_rng
 from .coset import Codebook, codebook
 
 # Bounds the real cost of `rank_profile`: O(n·2^n) time in 2^15-entry blocks
@@ -181,9 +184,134 @@ def rank_profile(code: CodeSpec) -> np.ndarray:
     return tally.reshape(n + 1, dim + 1)
 
 
+# Bounds the real cost of `support_profile`, in units of one subcode or one
+# big-int term (`support_profile_cost`), at 100–350 ns a unit (2-vCPU VM).
+# Every Hamming and simplex code fits: r = 8 (n = 255, d = 8) is 875,951
+# units, 0.15 s.  So does d = 9 up to n = 462: random (40,9) took 1.0–1.3 s
+# and (300,9), 9.0·10^6 units, 2.5–3.2 s.
+SUPPORT_PROFILE_BUDGET = 10**7
+# Subcodes whose supports are formed at once; the popcount's int64 scratch
+# is 256 KB per 64 positions.
+SUBCODE_BLOCK = 1 << 12
+
+
+def support_profile_cost(n: int, d: int) -> int:
+    """Units of `support_profile` work on a length-n code whose smaller side has
+    dimension d: Σ_j [d choose j]_2 subcodes plus (n + 1)·Σ_j min(n + 1,
+    [d choose j]_2) big-int terms.  The sum stops once it passes
+    SUPPORT_PROFILE_BUDGET, so a large d is priced in microseconds."""
+    total, count = 0, 1  # count = [d choose j]_2
+    for j in range(d + 1):
+        total += count + (n + 1) * min(n + 1, count)
+        if total > SUPPORT_PROFILE_BUDGET:
+            break
+        count = count * ((1 << (d - j)) - 1) // ((1 << (j + 1)) - 1)
+    return total
+
+
+def _sci(x: int) -> str:
+    """A positive int as 3 significant digits times a power of ten, also past
+    the float range."""
+    exp = int(math.log10(x))
+    return f"{x / 10**exp:.2f}e{exp}"
+
+
+def _support_refusal(code: CodeSpec) -> Optional[str]:
+    """Why `support_profile` refuses the code, or None if it fits."""
+    n, d = code.n, min(code.k, code.dim)
+    cost = support_profile_cost(n, d)
+    if cost > SUPPORT_PROFILE_BUDGET:
+        return (f"the support profile of this ({n},{code.dim}) code costs at least "
+                f"{_sci(cost)} units of subcodes and big-int terms (d = {d}), "
+                f"over the budget of {_sci(SUPPORT_PROFILE_BUDGET)}")
+    # a[µ] ≤ k·C(n, µ) must stay below the float range when `coefficients` rounds it.
+    if (code.k * math.comb(n, n // 2)).bit_length() > 1023:
+        return f"the coefficients of a ({n},{code.dim}) code can exceed the float range"
+    return None
+
+
+def subcode_supports(code: CodeSpec) -> np.ndarray:
+    """A[j, w], the number of j-dimensional subcodes U of D, the smaller side
+    (C⊥ when k ≤ dim, else C), whose support |supp U| is w: (d + 1, n + 1) int64.
+
+    D's 2^d words are listed once as uint64 rows, row x the sum of the basis
+    words picked by the bits of x.  Each U is the span of the words at the
+    rows of one j×d coordinate RREF (a pivot set, then every fill of its free
+    entries), and its support is the OR of those words.
+    """
+    n = code.n
+    words = gf2.pack(_smaller_row_space(code), 64 * ((n + 63) // 64)).view("<u8")
+    d = min(code.k, code.dim)
+    tally = np.zeros((d + 1, n + 1), dtype=np.int64)
+    for j in range(d + 1):
+        for pivots in combinations(range(d), j):
+            slots = [(i, c) for i, p in enumerate(pivots) for c in range(p + 1, d)
+                     if c not in pivots]
+            for lo in range(0, 1 << len(slots), SUBCODE_BLOCK):
+                fill = np.arange(lo, min(lo + SUBCODE_BLOCK, 1 << len(slots)))
+                coords = (1 << np.array(pivots, dtype=np.int64))[:, None] + np.zeros_like(fill)
+                for t, (i, c) in enumerate(slots):
+                    coords[i] |= ((fill >> t) & 1) << c
+                support = np.zeros((len(fill), words.shape[1]), dtype=np.uint64)
+                for row in coords:
+                    support |= words[row]
+                weight = _POPCOUNT8[support.view(np.uint8)].sum(axis=1)
+                tally[j] += np.bincount(weight, minlength=n + 1)
+    return tally
+
+
+def support_profile(code: CodeSpec) -> np.ndarray:
+    """N(µ, r) as an (n + 1, dim + 1) array of Python ints, the same counts that
+    `rank_profile` tallies, from the support sizes of the subcodes of D, the
+    smaller side, of dimension d (`subcode_supports`).
+
+    With l(S) = dim{c ∈ D : supp c ⊆ S}, the j-dimensional subcodes U give
+    T_j(s) = Σ_{|S| = s} [l(S) choose j]_2 = Σ_U C(n − |supp U|, s − |supp U|),
+    and inverting the Gaussian-binomial triangle gives the number of s-sets
+    with l(S) = l: N_l(s) = Σ_{j≥l} (−1)^(j−l) 2^C(j−l, 2) [j choose l]_2 T_j(s)
+    (Wei 1991; Kløve 1992).  S is the revealed set on the H side (µ = s,
+    r = s − l) and the erased set on the G side (µ = n − s, r = dim − l), as
+    in `rank_profile`.  Counts reach 2^n, so they stay Python ints.
+    """
+    refusal = _support_refusal(code)
+    if refusal:
+        raise GuardError(refusal)
+    n, dim = code.n, code.dim
+    supports = subcode_supports(code)
+    d = len(supports) - 1
+    t = np.zeros((d + 1, n + 1), dtype=object)  # t[j, s] = T_j(s)
+    binomials = {}  # support w -> C(n − w, s − w) for s = w..n
+    for j, a in enumerate(supports):
+        for w in np.flatnonzero(a).tolist():
+            if w not in binomials:
+                binomials[w] = np.array([math.comb(n - w, i) for i in range(n - w + 1)],
+                                        dtype=object)
+            t[j, w:] += int(a[w]) * binomials[w]
+    counts = np.zeros_like(t)  # counts[l, s] = N_l(s)
+    for l in range(d + 1):
+        for j in range(l, d + 1):
+            sign = -1 if (j - l) & 1 else 1
+            counts[l] += sign * (gaussian_binomial(j, l) << math.comb(j - l, 2)) * t[j]
+    l, s = np.nonzero(counts)
+    profile = np.zeros((n + 1, dim + 1), dtype=object)
+    if code.k <= dim:
+        profile[s, s - l] = counts[l, s]
+    else:
+        profile[n - s, dim - l] = counts[l, s]
+    return profile
+
+
+def _exact_profile(code: CodeSpec) -> np.ndarray:
+    """N(µ, r) from `rank_profile` up to n = RANK_PROFILE_GUARD_N, else from
+    `support_profile`."""
+    return rank_profile(code) if code.n <= RANK_PROFILE_GUARD_N else support_profile(code)
+
+
 def coefficients(profile: np.ndarray) -> np.ndarray:
-    """The polynomial's coefficients a[µ] = Σ_r N(µ, r)·(k − µ + r), summed in
-    int64; a[µ] ≤ n·2^n < 2^53 within the profile guard, so each float is exact."""
+    """The polynomial's coefficients a[µ] = Σ_r N(µ, r)·(k − µ + r) as floats.
+    An int64 profile (`rank_profile`) sums in int64, and up to n = 28
+    a[µ] ≤ n·2^n < 2^53, so each float is exact; above that, the Python-int
+    sums of a `support_profile` are rounded once."""
     n1, d1 = profile.shape  # n + 1 and dim + 1, so k = n1 − d1
     # Σ_r N(µ, r)·(k + r) − µ·Σ_r N(µ, r), one matrix-vector product.
     return (profile @ np.arange(n1 - d1, n1) - np.arange(n1) * profile.sum(axis=1)).astype(float)
@@ -322,9 +450,11 @@ DEFAULT_GRID = tuple(round(0.01 * i, 2) for i in range(1, 100))
 DEFAULT_MC_TRIALS = 10**6
 
 
-def resolve_method(method: str, n: int) -> str:
+def resolve_method(method: str, code: CodeSpec) -> str:
+    """"exact" or "mc"; "auto" is exact wherever `_exact_profile` admits the code."""
     if method == "auto":
-        return "exact" if n <= RANK_PROFILE_GUARD_N else "mc"
+        exact = code.n <= RANK_PROFILE_GUARD_N or _support_refusal(code) is None
+        return "exact" if exact else "mc"
     if method not in ("exact", "mc"):
         raise ValueError(f"unknown method {method!r}")
     return method
@@ -341,11 +471,11 @@ def curve(
     """Equivocation at each ε of a strictly increasing grid in [0, 1]."""
     grid = list(grid)
     check_grid(grid)
-    method = resolve_method(method, code.n)
+    method = resolve_method(method, code)
     n = code.n
     if method == "exact":
         if profile is None:
-            profile = rank_profile(code)
+            profile = _exact_profile(code)
         bits = equivocation_bits([coefficients(profile)], grid)[0].tolist()
         points = [CurvePoint(eps=eps, bits=b, rate=b / n) for eps, b in zip(grid, bits)]
     else:
@@ -374,12 +504,12 @@ def achievability_gap(
 ) -> GapReport:
     """A_g = R − equivocation rate at ε = R: distance from the asymptotic
     optimum, since secrecy capacity equals ε for this channel."""
-    method = resolve_method(method, code.n)
+    method = resolve_method(method, code)
     r = code.rate
     estimate = None
     if method == "exact":
         if profile is None:
-            profile = rank_profile(code)
+            profile = _exact_profile(code)
         bits = exact_equivocation(profile, r)
     else:
         estimate = mc_equivocation(code, r, trials, seed)

@@ -302,10 +302,14 @@ def test_unknown_flag_exit_1(capsys):
 
 
 def test_guard_violation_exit_2(capsys):
-    rc, _, stderr = run(["curve", "--family", "hamming", "--r", "5",
-                         "--method", "exact", "--eps", "0.5"], capsys)
-    assert rc == 2
-    assert "guard" in stderr.lower()
+    # (64,32): past the rank profile's n <= 28 and the support profile's budget.
+    for command in (["curve", "--eps", "0.5"], ["gap"]):
+        rc, _, stderr = run(command + ["--random", "--n", "64", "--dim", "32", "--alpha", "0.5",
+                                       "--method", "exact"], capsys)
+        assert rc == 2
+        assert stderr == ("guard violation: the support profile of this (64,32) code costs at "
+                          "least 4.29e9 units of subcodes and big-int terms (d = 32), over the "
+                          "budget of 1.00e7\n")
 
 
 # ---------------------------------------------------------------- determinism / env
@@ -573,8 +577,8 @@ def _argv(draw, files):
 @given(data=st.data())
 def test_cli_fuzz_exits_0_1_or_2(data, tmp_path_factory):
     # Every argv built from a subcommand's own flags, valid values mixed with
-    # bad ones, ends in exit 0, 1 or 2 with one closing message; only --help
-    # may leave through SystemExit, and then with status 0.
+    # bad ones, ends in exit 0, 1 or 2, and a refusal writes exactly one line
+    # to stderr; only --help may leave through SystemExit, and then with status 0.
     root = tmp_path_factory.getbasetemp() / "fuzz"
     (root / "out").mkdir(parents=True, exist_ok=True)
     files = {"good": root / "h3.json", "garbage": root / "garbage.json",
@@ -592,5 +596,6 @@ def test_cli_fuzz_exits_0_1_or_2(data, tmp_path_factory):
             return
     assert rc in (0, 1, 2), argv
     if rc:
-        last = err.getvalue().splitlines()[-1]
-        assert last.startswith(("error: ", "guard violation: ", "invalid: ")), (argv, last)
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1, (argv, lines)
+        assert lines[0].startswith(("error: ", "guard violation: ", "invalid: ")), (argv, lines)

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,7 +12,8 @@ from bewc import codes, equivocation as eq, gf2
 from bewc.equivocation import PatternEntropy
 from bewc.gf2 import pack
 
-from conftest import all_observations, dual_words, from_strings, observation, random_code
+from conftest import (all_observations, dual_words, exact_gap_by_dual_count, from_strings,
+                      observation, random_code)
 
 
 def ternary_brute_force(code, eps, book=None):
@@ -227,9 +229,9 @@ def test_rank_profile_duality_identity_n22():
 
 
 @st.composite
-def small_codes(draw):
-    """A code with 2 ≤ n ≤ 12 and any 1 ≤ dim < n, from a full-rank generator."""
-    n = draw(st.integers(2, 12))
+def small_codes(draw, max_n=12):
+    """A code with 2 ≤ n ≤ max_n and any 1 ≤ dim < n, from a full-rank generator."""
+    n = draw(st.integers(2, max_n))
     dim = draw(st.integers(1, n - 1))
     rows = draw(st.lists(st.integers(1, (1 << n) - 1), min_size=dim, max_size=dim))
     g = gf2.BitMatrix(n, tuple(rows))
@@ -385,6 +387,81 @@ def test_exact_results_pinned(case):
     assert bewc.achievability_gap(code, method="exact").gap.hex() == gap_hex
 
 
+# ---------------------------------------------------------------- support profile
+
+@settings(max_examples=100, deadline=None)
+@given(small_codes(max_n=14))
+def test_support_profile_equals_rank_profile(code):
+    # The code and its dual: one on the H side and one on the G side unless k = dim.
+    for c in (code, _dual(code)):
+        assert np.array_equal(eq.support_profile(c), bewc.rank_profile(c))
+
+
+@pytest.mark.parametrize("r", range(3, 9))
+def test_simplex_subcode_supports_closed_form(r):
+    # The [r choose j]_2 j-dimensional subcodes of the simplex code each have
+    # support 2^r − 2^(r−j).  From r = 3 on it is the smaller side of both
+    # simplex-r and its dual, hamming-r.
+    for code in (bewc.simplex_base(r), bewc.hamming_base(r)):
+        want = np.zeros((r + 1, code.n + 1), dtype=np.int64)
+        for j in range(r + 1):
+            want[j, (1 << r) - (1 << (r - j))] = codes.gaussian_binomial(r, j)
+        assert np.array_equal(eq.subcode_supports(code), want)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: bewc.hamming_base(3), lambda: bewc.simplex_base(3), lambda: bewc.hamming_base(4),
+    lambda: random_code(15, 11, seed=2), lambda: random_code(12, 4, seed=3),
+    lambda: random_code(10, 3, seed=4),
+], ids=["hamming-3", "simplex-3", "hamming-4", "random-15-11", "random-12-4", "random-10-3"])
+def test_support_profile_gap_matches_dual_count(make):
+    code = make()
+    gap = bewc.achievability_gap(code, method="exact", profile=eq.support_profile(code)).gap
+    assert abs(gap - exact_gap_by_dual_count(code)) <= 1e-12
+
+
+# Ag of hamming-r and simplex-r, r = 5..8, to 7 digits.
+SUPPORT_GAPS = {5: 0.0317548, 6: 0.0180854, 7: 0.0099528, 8: 0.0053531}
+
+
+@pytest.mark.parametrize("r", sorted(SUPPORT_GAPS))
+def test_support_profile_gaps_of_dual_families_agree(r):
+    h = bewc.achievability_gap(bewc.hamming_base(r))
+    s = bewc.achievability_gap(bewc.simplex_base(r))
+    assert h.method == s.method == "exact"
+    assert abs(h.gap - s.gap) <= 1e-12
+    assert abs(h.gap - SUPPORT_GAPS[r]) <= 5e-8
+
+
+@pytest.mark.parametrize("make", [lambda: bewc.hamming_base(6), lambda: bewc.simplex_base(6),
+                                  lambda: bewc.hamming_base(8), lambda: bewc.simplex_base(8)],
+                         ids=["hamming-6", "simplex-6", "hamming-8", "simplex-8"])
+def test_support_profile_float_evaluation_matches_fractions(make):
+    # Σ_µ a[µ]·ε^(n−µ)(1−ε)^µ in exact rationals, with a[µ] summed in Python ints.
+    code = make()
+    n, k = code.n, code.k
+    prof = eq.support_profile(code)
+    a = [sum(c * (k - mu + r) for r, c in enumerate(row)) for mu, row in enumerate(prof.tolist())]
+    for eps in (0.1, code.rate, 0.9):
+        e = Fraction(eps)
+        want = sum(c * e ** (n - mu) * (1 - e) ** mu for mu, c in enumerate(a))
+        got = bewc.exact_equivocation(prof, eps)
+        assert abs(Fraction(got) - want) <= Fraction(1, 10**12) * want
+
+
+def test_support_profile_budget():
+    # Every family code fits (r = 8: 417,199 subcodes and 458,752 terms); a
+    # d = 32 code is priced and refused at once.
+    assert eq.support_profile_cost(255, 8) == 875_951 <= eq.SUPPORT_PROFILE_BUDGET
+    assert eq.support_profile_cost(2324, 1162) > eq.SUPPORT_PROFILE_BUDGET
+    with pytest.raises(codes.GuardError, match=r"costs at least 4\.29e9 units"):
+        eq.support_profile(random_code(64, 32, seed=1))
+    # a[µ] ≤ k·C(n, n/2) would pass the float range.
+    with pytest.raises(codes.GuardError, match="float range"):
+        eq.support_profile(random_code(1100, 1, seed=1))
+    assert eq.resolve_method("auto", random_code(1100, 1, seed=1)) == "mc"
+
+
 # ---------------------------------------------------------------- Monte Carlo
 
 def test_mc_degenerate_channels():
@@ -486,10 +563,13 @@ def test_curve_mc_deterministic():
 
 
 def test_method_resolution():
-    assert eq.resolve_method("auto", 15) == "exact"
-    assert eq.resolve_method("auto", 31) == "mc"
+    assert eq.resolve_method("auto", bewc.hamming_base(4)) == "exact"  # rank profile
+    assert eq.resolve_method("auto", bewc.hamming_base(8)) == "exact"  # support profile
+    past_both = random_code(64, 32, seed=1)
+    assert eq.resolve_method("auto", past_both) == "mc"
+    assert eq.resolve_method("exact", past_both) == "exact"  # refused by the builder
     with pytest.raises(ValueError):
-        eq.resolve_method("magic", 7)
+        eq.resolve_method("magic", bewc.hamming_base(3))
 
 
 def test_gap_report_invariants():
@@ -502,6 +582,7 @@ def test_gap_report_invariants():
 
 
 def test_gap_exact_guard():
-    c = random_code(31, 26, seed=1)
-    with pytest.raises(codes.GuardError):
-        bewc.achievability_gap(c, method="exact")
+    # n > 28 and d = 15 or 32: past both exact builders' budgets.
+    for n, dim in [(31, 15), (64, 32)]:
+        with pytest.raises(codes.GuardError, match=r"over the budget of 1\.00e7$"):
+            bewc.achievability_gap(random_code(n, dim, seed=1), method="exact")

@@ -192,11 +192,45 @@ def test_family_sweep_exact_small():
     assert reports[1].gap < reports[0].gap  # gap shrinks with blocklength
 
 
-def test_family_sweep_guard_and_override():
-    reports = bewc.family_sweep("hamming", [7], trials=100, seed=1)
+def test_family_sweep_guard_and_override(monkeypatch):
+    # Every family code fits the support profile's budget; with a budget below
+    # hamming-5's 4,470 units, auto samples it and exact is refused.
+    assert bewc.family_sweep("hamming", [5], method="mc", trials=100, seed=1)[0].method == "mc"
+    monkeypatch.setattr(eq, "SUPPORT_PROFILE_BUDGET", 4469)
+    reports = bewc.family_sweep("hamming", [5], trials=100, seed=1)
     assert reports[0].method == "mc"
     with pytest.raises(codes.GuardError):
         bewc.family_sweep("hamming", [5], method="exact", seed=1)
+
+
+# Each n = 31 and 63 row was Monte Carlo before the support profile made it
+# exact: (Ag, standard error of Ag) of criteria 3 and 4 (10^6 trials), of the
+# gap-table benchmark's seed-0 reference (5·10^4 trials; stddev/(n·√trials)),
+# and, for hamming-5, of the `sweep` output pin (2,000 trials).
+OLD_MC_ROWS = {
+    ("hamming", 5): [(0.03174696774193547, 3.553424841924016e-05),
+                     (0.031791612903225824, 1.1024859263974114 / (31 * 50_000**0.5)),
+                     (0.031612903225806455, 0.0007974370709852066)],
+    ("hamming", 6): [(0.018108015873015873, 1.9753561703466626e-05),
+                     (0.018077777777777762, 1.2420296464870937 / (63 * 50_000**0.5))],
+    ("simplex", 5): [(0.03175341935483866, 4.097532160972853e-05),
+                     (0.0318187096774194, 1.2752517480640515 / (31 * 50_000**0.5))],
+    ("simplex", 6): [(0.0180798253968254, 2.287153434376117e-05),
+                     (0.018081904761904743, 1.4453222040519098 / (63 * 50_000**0.5))],
+}
+# Criteria 3 and 4: published value ± tolerance.
+CRITERION_WINDOWS = {("hamming", 5): (0.0311, 0.003), ("hamming", 6): (0.0181, 0.003),
+                     ("simplex", 5): (0.0305, 0.003), ("simplex", 6): (0.0179, 0.003)}
+
+
+@pytest.mark.parametrize("family", ["hamming", "simplex"])
+def test_family_sweep_exact_rows_match_their_old_mc_rows(family):
+    for r, rep in zip([5, 6], bewc.family_sweep(family, [5, 6])):
+        assert rep.method == "exact"
+        for gap, stderr in OLD_MC_ROWS[family, r]:
+            assert abs(rep.gap - gap) <= 5 * stderr, (r, gap)
+        centre, tol = CRITERION_WINDOWS[family, r]
+        assert abs(rep.gap - centre) <= tol
 
 
 def test_family_sweep_unknown_family():
