@@ -23,8 +23,6 @@ from .equivocation import (
     curve,
     exact_equivocation,
     mc_equivocation,
-    observation_equivocation_oracle,
-    pattern_equivocation,
     rank_profile,
     support_profile,
 )

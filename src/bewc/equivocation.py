@@ -4,8 +4,7 @@ An erasure pattern is the int mask of the positions the eavesdropper sees
 unerased (bit i = position i), and an observation is that mask plus the
 word it reveals.  Per-observation entropy for a coset code depends only on
 the mask: with µ positions revealed, it is k − µ + rank(G_µ), where G_µ is
-the generator restricted to the revealed columns (`pattern_equivocation`,
-the reference; `observation_equivocation_oracle` counts cosets instead).
+the generator restricted to the revealed columns.
 Sampled patterns are scored by one batched kernel, `PatternEntropy`, on
 erased masks packed as `gf2.pack` packs; it counts the words of C⊥ or C an
 erasure hides.
@@ -30,7 +29,6 @@ import numpy as np
 
 from . import gf2
 from .codes import CodeSpec, GuardError, derive_seed, gaussian_binomial, make_rng
-from .coset import Codebook, codebook
 
 # Bounds the real cost of `rank_profile`: O(n·2^n) time in 2^15-entry blocks
 # whatever min(k, dim) is, 0.3 s at n = 24 and 6 s at n = 28 (2-vCPU VM).
@@ -40,40 +38,6 @@ MC_BATCH = 1 << 14
 # beyond the (codes, grid) result stays fixed however many codes it sums.
 EVAL_BLOCK_ENTRIES = 1 << 18
 CI95 = 1.96
-
-
-def _check_mask(code: CodeSpec, mask: int) -> None:
-    if mask < 0 or mask >> code.n:
-        raise gf2.DimensionError(f"mask {mask:#x} has bits outside the code's {code.n} positions")
-
-
-def pattern_equivocation(code: CodeSpec, revealed: int) -> int:
-    """Bits of uncertainty left about the message when the positions of the
-    mask `revealed` arrive unerased: k − µ + rank(G_µ)."""
-    _check_mask(code, revealed)
-    # G with its erased columns zeroed has the rank of G_µ.
-    g_mu = gf2.BitMatrix(code.n, tuple(g & revealed for g in code.G.rows))
-    return code.k - revealed.bit_count() + gf2.rank(g_mu)
-
-
-def observation_equivocation_oracle(
-    code: CodeSpec, mask: int, word: int, book: Optional[Codebook] = None
-) -> float:
-    """Entropy of the message posterior by direct coset counting, for the
-    observation that reveals the positions of `mask` with the values of `word`.
-
-    Counts the codewords of every coset consistent with the observation and
-    takes the Shannon entropy of the induced distribution; no rank formula and
-    no assumption of within-coset uniformity.
-    """
-    _check_mask(code, mask)
-    if word & ~mask:
-        raise gf2.DimensionError("observed word has bits outside the revealed mask")
-    if book is None:
-        book = codebook(code)
-    counts = ((book.cosets & mask) == word).sum(axis=1).tolist()
-    total = sum(counts)
-    return -sum((c / total) * math.log2(c / total) for c in counts if c)
 
 
 # Row spaces of at most this dimension are listed and matched against whole

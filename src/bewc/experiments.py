@@ -122,9 +122,11 @@ class SearchResult:
 
 
 ARGMAX_TIE_TOL = 1e-12
-# Bounds the real cost of `exhaustive_search`: one rank profile over 2^n
-# subsets per subspace, [n choose dim]_2 · 2^n subsets in all.  Every (8, dim)
-# shape fits ((8,4): 5.1·10^7); (20,1) would be 1.1·10^12, about 7 h.
+# Bounds the real cost of `exhaustive_search`, priced as one rank profile
+# over 2^n subsets per subspace, [n choose dim]_2 · 2^n subsets in all.  This
+# over-prices the search, which enumerates every subspace but profiles each
+# column multiset only once.  Every (8, dim) shape fits ((8,4): 5.1·10^7);
+# (20,1) would be 1.1·10^12.
 SEARCH_SUBSET_BUDGET = 1 << 27
 
 
@@ -145,21 +147,31 @@ def search_count(n: int, dim: int) -> int:
 def exhaustive_search(n: int, dim: int, grid: Sequence[float]) -> SearchResult:
     """Exact curves for every dim-dimensional base code in GF(2)^n.
 
-    Each subspace's rank profile is one O(n·2^n) subset-sum transform over
-    its 2^min(k, dim) dual or code words; `equivocation_bits` then evaluates
-    all profiles over the grid plus ε = R in one call, the same arithmetic
-    that `curve` and `achievability_gap` run for a single code.
+    A rank profile depends on a code only through the multiset of its
+    generator's columns: permuting columns permutes the revealed sets and
+    keeps |R| and rank(G_R).  So the search profiles each column multiset
+    once, with one O(n·2^n) subset-sum transform over 2^min(k, dim) dual or
+    code words, and `equivocation_bits` evaluates the distinct profiles over
+    the grid plus ε = R in one call, the same arithmetic that `curve` and
+    `achievability_gap` run for a single code.  Each code then takes its
+    multiset's row, the bits a profile of its own would give.
     """
     count = search_count(n, dim)
     grid = tuple(grid)
     eq.check_grid(grid)
     k = n - dim
     gens: list[BitMatrix] = []
-    coeffs = np.empty((count, n + 1))  # one row of profile coefficients per code
+    classes: dict[tuple[int, ...], int] = {}  # sorted columns -> row of `coeffs`
+    coeffs = []  # one row of profile coefficients per column multiset
+    index = np.empty(count, dtype=np.intp)  # each code's row of `coeffs`
     for i, g in enumerate(codes.enumerate_subspaces(n, dim)):
         gens.append(g)
-        coeffs[i] = eq.coefficients(eq.rank_profile(codes.from_generator(g, name="search")))
-    bits = eq.equivocation_bits(coeffs, grid + (k / n,))  # gap point appended
+        key = tuple(sorted(gf2.column_ints(g)))
+        if key not in classes:
+            classes[key] = len(coeffs)
+            coeffs.append(eq.coefficients(eq.rank_profile(codes.from_generator(g, name="search"))))
+        index[i] = classes[key]
+    bits = eq.equivocation_bits(coeffs, grid + (k / n,))[index]  # gap point appended
     bits /= n
     rates = bits[:, :-1]
     gaps = k / n - bits[:, -1]

@@ -76,13 +76,12 @@ class BitMatrix:
 
 def column_ints(m: BitMatrix) -> list[int]:
     """Columns of m as packed ints (bit i = row i)."""
-    out = []
-    for j in range(m.cols):
-        c = 0
-        for i, r in enumerate(m.rows):
-            if (r >> j) & 1:
-                c |= 1 << i
-        out.append(c)
+    out = [0] * m.cols
+    for i, r in enumerate(m.rows):
+        while r:  # one step per set bit, lowest first
+            low = r & -r
+            out[low.bit_length() - 1] |= 1 << i
+            r ^= low
     return out
 
 

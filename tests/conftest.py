@@ -1,9 +1,12 @@
+import math
 from fractions import Fraction
 
 import pytest
 
 import bewc
-from bewc.codes import RandomCodeParams
+from bewc import gf2
+from bewc.codes import CodeSpec, RandomCodeParams
+from bewc.coset import Codebook
 from bewc.gf2 import BitMatrix, from01
 
 
@@ -40,6 +43,41 @@ def all_observations(n: int) -> list[tuple[int, int]]:
                 break
             word = (word - 1) & mask
     return out
+
+
+def _check_mask(code: CodeSpec, mask: int) -> None:
+    if mask < 0 or mask >> code.n:
+        raise gf2.DimensionError(f"mask {mask:#x} has bits outside the code's {code.n} positions")
+
+
+def pattern_equivocation(code: CodeSpec, revealed: int) -> int:
+    """Bits of uncertainty left about the message when the positions of the
+    mask `revealed` arrive unerased: k − µ + rank(G_µ), the reference that
+    the batched kernel and the rank profiles are checked against."""
+    _check_mask(code, revealed)
+    # G with its erased columns zeroed has the rank of G_µ.
+    g_mu = BitMatrix(code.n, tuple(g & revealed for g in code.G.rows))
+    return code.k - revealed.bit_count() + gf2.rank(g_mu)
+
+
+def observation_equivocation_oracle(
+    code: CodeSpec, mask: int, word: int, book: Codebook | None = None
+) -> float:
+    """Entropy of the message posterior by direct coset counting, for the
+    observation that reveals the positions of `mask` with the values of `word`.
+
+    Counts the codewords of every coset consistent with the observation and
+    takes the Shannon entropy of the induced distribution; no rank formula and
+    no assumption of within-coset uniformity.
+    """
+    _check_mask(code, mask)
+    if word & ~mask:
+        raise gf2.DimensionError("observed word has bits outside the revealed mask")
+    if book is None:
+        book = bewc.codebook(code)
+    counts = ((book.cosets & mask) == word).sum(axis=1).tolist()
+    total = sum(counts)
+    return -sum((c / total) * math.log2(c / total) for c in counts if c)
 
 
 @pytest.fixture

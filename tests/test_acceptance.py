@@ -27,7 +27,7 @@ from bewc import cli, codes, equivocation as eq
 from bewc.codes import derive_seed
 from bewc.gf2 import pack, unpack
 from conftest import (all_observations, exact_gap_by_dual_count, from_strings, observation,
-                      random_code)
+                      observation_equivocation_oracle, pattern_equivocation, random_code)
 
 GRID = [round(0.01 * i, 2) for i in range(1, 100)]
 # Exact Ag at ε = R: Hamming and simplex n=7 (equal by duality), Hamming n=15.
@@ -170,11 +170,11 @@ def test_criterion_6_theorem_oracle_equivalence():
             observations = [observation("".join(rng.choice(list("01?"), size=n)))
                             for _ in range(1000)]
         # The rank formula depends on the mask alone: once per distinct mask.
-        formula = {mask: bewc.pattern_equivocation(code, mask)
+        formula = {mask: pattern_equivocation(code, mask)
                    for mask in {mask for mask, _ in observations}}
         for mask, word in observations:
             total_obs += 1
-            if bewc.observation_equivocation_oracle(code, mask, word, book) != formula[mask]:
+            if observation_equivocation_oracle(code, mask, word, book) != formula[mask]:
                 mismatches += 1
     ok = mismatches == 0
     assert report(6, ok, f"200 codes, {total_obs} observations, {mismatches} mismatches")
@@ -189,7 +189,7 @@ def test_criterion_7_exact_vs_ternary():
         code = random_code(n, dim, seed=70000 + trial)
         book = bewc.codebook(code)
         # Entropy per observation once; probability weights per eps after.
-        per_obs = [(mask.bit_count(), bewc.observation_equivocation_oracle(code, mask, word, book))
+        per_obs = [(mask.bit_count(), observation_equivocation_oracle(code, mask, word, book))
                    for mask, word in all_observations(n)]
         prof = bewc.rank_profile(code)
         for eps in eps_values:

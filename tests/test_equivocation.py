@@ -13,7 +13,8 @@ from bewc.equivocation import PatternEntropy
 from bewc.gf2 import pack
 
 from conftest import (all_observations, dual_words, exact_gap_by_dual_count, from_strings,
-                      observation, random_code)
+                      observation, observation_equivocation_oracle, pattern_equivocation,
+                      random_code)
 
 
 def ternary_brute_force(code, eps, book=None):
@@ -26,43 +27,43 @@ def ternary_brute_force(code, eps, book=None):
     for mask, word in all_observations(n):
         mu = mask.bit_count()
         p = eps ** (n - mu) * (1 - eps) ** mu / 2**mu
-        total += p * bewc.observation_equivocation_oracle(code, mask, word, book)
+        total += p * observation_equivocation_oracle(code, mask, word, book)
     return total
 
 
 # ---------------------------------------------------------------- Theorem-1 entropy
 
 def test_pattern_equivocation_examples(ex1):
-    assert bewc.pattern_equivocation(ex1, 0b1001) == 1  # w??w
-    assert bewc.pattern_equivocation(ex1, 0b0011) == 2  # ww??
+    assert pattern_equivocation(ex1, 0b1001) == 1  # w??w
+    assert pattern_equivocation(ex1, 0b0011) == 2  # ww??
 
 
 def test_pattern_equivocation_extremes(ex1):
-    assert bewc.pattern_equivocation(ex1, 0) == ex1.k
-    assert bewc.pattern_equivocation(ex1, 0b1111) == 0
+    assert pattern_equivocation(ex1, 0) == ex1.k
+    assert pattern_equivocation(ex1, 0b1111) == 0
     h3 = bewc.hamming_base(3)
-    assert bewc.pattern_equivocation(h3, 0) == h3.k
-    assert bewc.pattern_equivocation(h3, (1 << 7) - 1) == 0
+    assert pattern_equivocation(h3, 0) == h3.k
+    assert pattern_equivocation(h3, (1 << 7) - 1) == 0
 
 
 def test_pattern_equivocation_dimension_check(ex1):
     for mask in (1 << 4, -1):  # a fifth position; no positions at all
         with pytest.raises(gf2.DimensionError, match="outside the code's 4 positions"):
-            bewc.pattern_equivocation(ex1, mask)
+            pattern_equivocation(ex1, mask)
 
 
 @given(st.integers(0, 2**9 - 1), st.integers(0, 10**6))
 @settings(max_examples=60, deadline=None)
 def test_pattern_entropy_within_erasure_bound(mask, seed):
     code = random_code(9, 4, seed=seed % 50)
-    h = bewc.pattern_equivocation(code, mask)
+    h = pattern_equivocation(code, mask)
     assert 0 <= h <= min(code.k, code.n - mask.bit_count())
 
 
 def _assert_kernel_matches_generator_formula(code, erased_masks):
     got = PatternEntropy(code)(pack(erased_masks, code.n))
     full = (1 << code.n) - 1
-    want = [bewc.pattern_equivocation(code, full ^ m) for m in erased_masks]
+    want = [pattern_equivocation(code, full ^ m) for m in erased_masks]
     assert got.tolist() == want
 
 
@@ -96,11 +97,11 @@ def test_entropy_kernel_scalar_path_and_long_codes():
 
 def test_oracle_example_observation(ex1):
     assert observation("10??") == (0b0011, 0b0001)
-    assert bewc.observation_equivocation_oracle(ex1, 0b0011, 0b0001) == pytest.approx(2.0)
+    assert observation_equivocation_oracle(ex1, 0b0011, 0b0001) == pytest.approx(2.0)
 
 
 def test_oracle_fully_revealed_word(ex1):
-    assert bewc.observation_equivocation_oracle(ex1, *observation("0110")) == pytest.approx(0.0)
+    assert observation_equivocation_oracle(ex1, *observation("0110")) == pytest.approx(0.0)
 
 
 @pytest.mark.parametrize("mask, word, message", [
@@ -111,7 +112,7 @@ def test_oracle_fully_revealed_word(ex1):
 ], ids=["wide-mask", "negative-mask", "word-outside-mask", "negative-word"])
 def test_oracle_refuses_a_bad_observation(ex1, mask, word, message):
     with pytest.raises(gf2.DimensionError, match=message):
-        bewc.observation_equivocation_oracle(ex1, mask, word)
+        observation_equivocation_oracle(ex1, mask, word)
 
 
 def test_all_observations_are_the_ternary_words():
@@ -124,7 +125,7 @@ def test_all_observations_are_the_ternary_words():
 def test_oracle_guard():
     big = bewc.hamming_base(5)
     with pytest.raises(codes.GuardError):
-        bewc.observation_equivocation_oracle(big, 0, 0)
+        observation_equivocation_oracle(big, 0, 0)
 
 
 def test_oracle_matches_theorem_small_codes():
@@ -136,8 +137,8 @@ def test_oracle_matches_theorem_small_codes():
         book = bewc.codebook(code)
         for _ in range(60):
             mask, word = observation("".join(rng.choice(list("01?"), size=n)))
-            got = bewc.observation_equivocation_oracle(code, mask, word, book)
-            want = bewc.pattern_equivocation(code, mask)
+            got = observation_equivocation_oracle(code, mask, word, book)
+            want = pattern_equivocation(code, mask)
             assert got == pytest.approx(want, abs=1e-12)
 
 
@@ -199,7 +200,7 @@ def test_rank_profile_matches_pattern_tally():
                 want = np.zeros((n + 1, c.dim + 1), dtype=np.int64)
                 for mask in range(1 << n):
                     mu = mask.bit_count()
-                    want[mu, bewc.pattern_equivocation(c, mask) - c.k + mu] += 1
+                    want[mu, pattern_equivocation(c, mask) - c.k + mu] += 1
                 assert np.array_equal(bewc.rank_profile(c), want), (n, c.dim)
 
 
@@ -249,7 +250,7 @@ def test_pattern_equivocation_counts_hidden_dual_words(code, data):
     for revealed in masks:
         count = sum(1 for c in dual if c & ~revealed == 0)
         want = code.k - (count.bit_length() - 1)
-        assert bewc.pattern_equivocation(code, revealed) == want
+        assert pattern_equivocation(code, revealed) == want
 
 
 @settings(max_examples=200, deadline=None)
@@ -283,7 +284,6 @@ def test_rank_profile_does_not_score_patterns(monkeypatch):
         raise AssertionError("rank_profile scored patterns one by one")
 
     monkeypatch.setattr(eq, "PatternEntropy", refuse)
-    monkeypatch.setattr(eq, "pattern_equivocation", refuse)
     assert bewc.rank_profile(random_code(18, 9, seed=1)).sum() == 1 << 18
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import bewc
-from bewc import codes, coset, equivocation as eq, experiments
+from bewc import codes, coset, equivocation as eq, experiments, gf2
 
 from conftest import random_code
 
@@ -147,6 +147,46 @@ def test_exhaustive_search_matches_curve_and_gap_bit_for_bit():
         code = codes.from_generator(g)
         assert np.array_equal(res.rates[i], bewc.curve(code, eq.DEFAULT_GRID, "exact").rates())
         assert res.gaps[i] == bewc.achievability_gap(code, "exact").gap
+
+
+@pytest.mark.parametrize("n, dim", [(n, d) for n in range(2, 7) for d in range(1, n)] + [(7, 3)])
+def test_exhaustive_search_matches_per_code_profiles(n, dim):
+    # One profile per column multiset must give exactly what a profile of
+    # every code gives, evaluated in one `equivocation_bits` call.
+    grid = tuple(eq.DEFAULT_GRID)
+    res = bewc.exhaustive_search(n, dim, grid)
+    coeffs = [eq.coefficients(eq.rank_profile(codes.from_generator(g)))
+              for g in res.generators]
+    bits = eq.equivocation_bits(coeffs, grid + ((n - dim) / n,)) / n
+    rates, gaps = bits[:, :-1], (n - dim) / n - bits[:, -1]
+    assert res.rates.tobytes() == rates.tobytes()
+    assert res.gaps.tobytes() == gaps.tobytes()
+    tops = rates.max(axis=0)
+    assert res.argmax_per_eps == tuple(
+        tuple(np.flatnonzero(rates[:, j] >= tops[j] - experiments.ARGMAX_TIE_TOL))
+        for j in range(len(grid)))
+    assert res.ranking == tuple(
+        sorted(range(res.count), key=lambda i: (gaps[i], res.generators[i].rows)))
+
+
+@pytest.mark.parametrize("n, dim, classes", [(7, 4, 816), (7, 3, 330)])
+def test_exhaustive_search_profiles_each_column_multiset_once(n, dim, classes, monkeypatch):
+    assert classes == len({tuple(sorted(gf2.column_ints(g)))
+                           for g in codes.enumerate_subspaces(n, dim)})
+    calls = {"rank_profile": 0, "from_generator": 0}
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(eq, "rank_profile", counting("rank_profile", eq.rank_profile))
+    monkeypatch.setattr(codes, "from_generator", counting("from_generator", codes.from_generator))
+    for _ in range(2):  # a second identical search profiles as much: no state is kept
+        calls.update(rank_profile=0, from_generator=0)
+        bewc.exhaustive_search(n, dim, [0.5])
+        assert calls == {"rank_profile": classes, "from_generator": classes}
 
 
 # ---------------------------------------------------------------- ensembles

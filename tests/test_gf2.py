@@ -25,6 +25,15 @@ def row_space(m: BitMatrix) -> set[int]:
     return span
 
 
+@given(bitmatrix(max_rows=6, max_cols=70))
+def test_column_ints_transposes(m):
+    cols = gf2.column_ints(m)
+    assert len(cols) == m.cols
+    assert all((cols[j] >> i) & 1 == (r >> j) & 1
+               for i, r in enumerate(m.rows) for j in range(m.cols))
+    assert all(c >> m.nrows == 0 for c in cols)
+
+
 # ---------------------------------------------------------------- rank
 
 def test_rank_example_generator():

@@ -6,6 +6,8 @@ from pathlib import Path
 import bewc
 from bewc.gf2 import unpack
 
+from conftest import pattern_equivocation
+
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
@@ -14,4 +16,5 @@ def test_readme_library_block_runs():
     ns = {}
     exec(block.group(1), ns)
     assert unpack(bewc.decode(ns["enc"], ns["x"])) == unpack(ns["m"]) == [0b101]
-    assert bewc.pattern_equivocation(ns["code"], 0b0011111) == 2
+    # 2 bits stay hidden when only positions 0..4 of the (7,4) code arrive.
+    assert pattern_equivocation(ns["code"], 0b0011111) == 2
