@@ -22,6 +22,8 @@ from . import gf2
 from .gf2 import BitMatrix
 
 SUBSPACE_ENUM_GUARD = 10**7
+# Fills per array in `enumerate_subspaces`: one pivot set can have 2^23.
+SUBSPACE_BLOCK = 4096
 # Each `random_base` attempt draws a (dim, n) generator and ranks it.  A draw
 # that is dependent again and again is sparse, and costs 14–22 ns per entry
 # (n = 2,000..2,324, 2-vCPU VM); a dense dependent one, at dim ≈ n, costs up to
@@ -193,7 +195,7 @@ def gaussian_binomial(n: int, d: int) -> int:
 def enumerate_subspaces(n: int, dim: int) -> Iterator[BitMatrix]:
     """Yield every dim-dimensional subspace of GF(2)^n once, as its RREF basis.
 
-    Enumerates pivot-column sets, then all fills of the free entries.
+    Enumerates pivot-column sets, then all fills of the free entries in blocks.
     """
     # [n choose dim]_2 ≥ 2^(dim·(n−dim)) refuses a huge shape before its count
     # is computed, which takes over 30 s at (8000, 4000).
@@ -203,21 +205,20 @@ def enumerate_subspaces(n: int, dim: int) -> Iterator[BitMatrix]:
         raise GuardError(
             f"the ({n},{dim}) subspaces outnumber the enumeration guard ({SUBSPACE_ENUM_GUARD})"
         )
+    dtype = np.int64 if n < 64 else object  # n ≥ 64 passes the guard only at dim 0 or n
     for pivots in combinations(range(n), dim):
         pivset = set(pivots)
         # Free slots: (row, col) with col past the row's pivot and not a pivot.
         slots = [(i, j) for i, p in enumerate(pivots)
                  for j in range(p + 1, n) if j not in pivset]
-        base_rows = [1 << p for p in pivots]
-        for fill in range(1 << len(slots)):
-            rows = list(base_rows)
-            f = fill
-            while f:
-                t = (f & -f).bit_length() - 1
-                i, j = slots[t]
-                rows[i] |= 1 << j
-                f &= f - 1
-            yield BitMatrix(n, tuple(rows))
+        weight = np.zeros((len(slots), dim), dtype=dtype)  # fill bit t sets 2^j in row i
+        for t, (i, j) in enumerate(slots):
+            weight[t, i] = 1 << j
+        base, size = 1 << np.array(pivots, dtype=dtype), 1 << len(slots)
+        for lo in range(0, size, SUBSPACE_BLOCK):
+            fills = np.arange(lo, min(lo + SUBSPACE_BLOCK, size), dtype=np.int64)
+            for r in (base + ((fills[:, None] >> np.arange(len(slots))) & 1) @ weight).tolist():
+                yield BitMatrix(n, tuple(r))
 
 
 def canonical_generator(m: BitMatrix) -> BitMatrix:

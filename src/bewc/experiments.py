@@ -113,8 +113,8 @@ class SearchResult:
     generators: tuple[BitMatrix, ...]  # canonical RREF, one per subspace
     rates: np.ndarray  # shape (num_codes, len(grid)), equivocation rates
     gaps: np.ndarray  # A_g per code
-    argmax_per_eps: tuple[tuple[int, ...], ...]  # code indices, per grid point
-    ranking: tuple[int, ...]  # code indices sorted by ascending A_g
+    argmax_per_eps: tuple[tuple[int, ...], ...]  # Python-int code indices, per grid point
+    ranking: tuple[int, ...]  # Python-int code indices by ascending A_g, then generator
 
     @property
     def count(self) -> int:
@@ -149,48 +149,48 @@ def exhaustive_search(n: int, dim: int, grid: Sequence[float]) -> SearchResult:
 
     A rank profile depends on a code only through the multiset of its
     generator's columns: permuting columns permutes the revealed sets and
-    keeps |R| and rank(G_R).  So the search profiles each column multiset
-    once, with one O(n·2^n) subset-sum transform over 2^min(k, dim) dual or
-    code words, and `equivocation_bits` evaluates the distinct profiles over
-    the grid plus ε = R in one call, the same arithmetic that `curve` and
-    `achievability_gap` run for a single code.  Each code then takes its
-    multiset's row, the bits a profile of its own would give.
+    keeps |R| and rank(G_R).  So the search keys each code by its sorted
+    columns, groups the keys with one `np.unique` and profiles each class once
+    (from its first code) with an O(n·2^n) subset-sum transform.
+    `equivocation_bits` evaluates the distinct profiles over the grid plus
+    ε = R in one call, the arithmetic that `curve` and `achievability_gap` run
+    for a single code; each code takes its class's row, and argmax and
+    ranking are array operations over all codes.
     """
-    count = search_count(n, dim)
+    search_count(n, dim)
     grid = tuple(grid)
     eq.check_grid(grid)
     k = n - dim
-    gens: list[BitMatrix] = []
-    classes: dict[tuple[int, ...], int] = {}  # sorted columns -> row of `coeffs`
-    coeffs = []  # one row of profile coefficients per column multiset
-    index = np.empty(count, dtype=np.intp)  # each code's row of `coeffs`
-    for i, g in enumerate(codes.enumerate_subspaces(n, dim)):
-        gens.append(g)
-        key = tuple(sorted(gf2.column_ints(g)))
-        if key not in classes:
-            classes[key] = len(coeffs)
-            coeffs.append(eq.coefficients(eq.rank_profile(codes.from_generator(g, name="search"))))
-        index[i] = classes[key]
+    gens = tuple(codes.enumerate_subspaces(n, dim))
+    rows = np.array([g.rows for g in gens], dtype=np.int64)  # (count, dim)
+    # Each code's columns as dim-bit uint16 words (the budget keeps n ≤ 13), sorted.
+    cols = np.zeros((len(gens), n), dtype=np.uint16)
+    for i, row in enumerate(rows.T.astype(np.uint16)):
+        cols |= ((row[:, None] >> np.arange(n, dtype=np.uint16)) & 1) << i
+    cols.sort(axis=1)
+    # One byte-string key per code: dim·n reaches 156 bits, past any integer.
+    keys = cols.view(np.dtype((np.void, cols.itemsize * n))).ravel()
+    _, first, index = np.unique(keys, return_index=True, return_inverse=True)
+    coeffs = [eq.coefficients(eq.rank_profile(codes.from_generator(gens[i], name="search")))
+              for i in first]
     bits = eq.equivocation_bits(coeffs, grid + (k / n,))[index]  # gap point appended
     bits /= n
     rates = bits[:, :-1]
     gaps = k / n - bits[:, -1]
-    argmax = []
-    for j in range(len(grid)):
-        col = rates[:, j]
-        top = col.max()
-        argmax.append(tuple(np.flatnonzero(col >= top - ARGMAX_TIE_TOL)))
+    top = rates.max(axis=0)
+    argmax = tuple(tuple(np.flatnonzero(rates[:, j] >= top[j] - ARGMAX_TIE_TOL).tolist())
+                   for j in range(len(grid)))
     # Ties in A_g break by the lexicographically smallest canonical generator.
-    order = sorted(range(len(gens)), key=lambda i: (gaps[i], gens[i].rows))
+    order = tuple(np.lexsort((*rows.T[::-1], gaps)).tolist())
     return SearchResult(
         n=n,
         dim=dim,
         grid=grid,
-        generators=tuple(gens),
+        generators=gens,
         rates=rates,
         gaps=gaps,
-        argmax_per_eps=tuple(argmax),
-        ranking=tuple(order),
+        argmax_per_eps=argmax,
+        ranking=order,
     )
 
 

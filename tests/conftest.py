@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -42,6 +43,30 @@ def all_observations(n: int) -> list[tuple[int, int]]:
             if not word:
                 break
             word = (word - 1) & mask
+    return out
+
+
+def reference_subspaces(n: int, dim: int) -> list[BitMatrix]:
+    """Every dim-dimensional subspace of GF(2)^n as its RREF basis, in the
+    order `codes.enumerate_subspaces` yields them: pivot-column sets in
+    lexicographic order, then each set's fills of the free entries counted
+    up from 0, fill bit t setting free slot t (row-major)."""
+    out = []
+    for pivots in combinations(range(n), dim):
+        pivset = set(pivots)
+        # Free slots: (row, col) with col past the row's pivot and not a pivot.
+        slots = [(i, j) for i, p in enumerate(pivots)
+                 for j in range(p + 1, n) if j not in pivset]
+        base_rows = [1 << p for p in pivots]
+        for fill in range(1 << len(slots)):
+            rows = list(base_rows)
+            f = fill
+            while f:
+                t = (f & -f).bit_length() - 1
+                i, j = slots[t]
+                rows[i] |= 1 << j
+                f &= f - 1
+            out.append(BitMatrix(n, tuple(rows)))
     return out
 
 

@@ -10,7 +10,7 @@ from bewc import codes, gf2
 from bewc.codes import CodeError, RandomCodeParams
 from bewc.gf2 import BitMatrix, pack, unpack
 
-from conftest import from_strings, identity, random_code
+from conftest import from_strings, identity, random_code, reference_subspaces
 
 
 def assert_valid(code):
@@ -215,6 +215,28 @@ def test_enumerate_counts_and_distinct_row_spaces(n, dim):
         assert gf2.rank(m) == dim
         assert codes.canonical_generator(m) == m
     assert count == codes.gaussian_binomial(n, dim)
+
+
+@pytest.mark.parametrize("n, dim", [(n, d) for n in range(8) for d in range(n + 1)]
+                         + [(8, 4), (9, 8)])
+def test_enumerate_matches_reference_order(n, dim):
+    assert list(codes.enumerate_subspaces(n, dim)) == reference_subspaces(n, dim)
+
+
+@pytest.mark.parametrize("block", [1, 3])
+@pytest.mark.parametrize("n, dim", [(5, 2), (6, 3), (7, 4)])
+def test_enumerate_order_across_block_edges(n, dim, block, monkeypatch):
+    # Blocks that end inside a pivot set's fills must not reorder or drop any.
+    monkeypatch.setattr(codes, "SUBSPACE_BLOCK", block)
+    assert list(codes.enumerate_subspaces(n, dim)) == reference_subspaces(n, dim)
+
+
+@pytest.mark.parametrize("n", [63, 64, 70])
+def test_enumerate_bases_past_int64(n):
+    # Past 63 columns the guard admits only the empty basis and the identity,
+    # whose pivot bits an int64 cannot hold.
+    assert list(codes.enumerate_subspaces(n, 0)) == [BitMatrix(n, ())]
+    assert list(codes.enumerate_subspaces(n, n)) == [identity(n)]
 
 
 def _row_space(m):

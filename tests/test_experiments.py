@@ -149,7 +149,8 @@ def test_exhaustive_search_matches_curve_and_gap_bit_for_bit():
         assert res.gaps[i] == bewc.achievability_gap(code, "exact").gap
 
 
-@pytest.mark.parametrize("n, dim", [(n, d) for n in range(2, 7) for d in range(1, n)] + [(7, 3)])
+@pytest.mark.parametrize("n, dim", [(n, d) for n in range(2, 7) for d in range(1, n)]
+                         + [(7, 3), (9, 8), (10, 9)])  # dim·n = 72, 90: keys past 64 bits
 def test_exhaustive_search_matches_per_code_profiles(n, dim):
     # One profile per column multiset must give exactly what a profile of
     # every code gives, evaluated in one `equivocation_bits` call.
@@ -167,6 +168,13 @@ def test_exhaustive_search_matches_per_code_profiles(n, dim):
         for j in range(len(grid)))
     assert res.ranking == tuple(
         sorted(range(res.count), key=lambda i: (gaps[i], res.generators[i].rows)))
+
+
+def test_exhaustive_search_indices_are_python_ints():
+    res = bewc.exhaustive_search(5, 2, [0.2, 0.4, 0.6])
+    assert all(type(i) is int for s in res.argmax_per_eps for i in s)
+    assert all(type(i) is int for i in res.ranking)
+    assert sorted(res.ranking) == list(range(res.count))
 
 
 @pytest.mark.parametrize("n, dim, classes", [(7, 4, 816), (7, 3, 330)])
