@@ -7,7 +7,10 @@ the mask: with µ positions revealed, it is k − µ + rank(G_µ), where G_µ is
 the generator restricted to the revealed columns.
 Sampled patterns are scored by one batched kernel, `PatternEntropy`, on
 erased masks packed as `gf2.pack` packs; it counts the words of C⊥ or C an
-erasure hides.
+erasure hides as the AND of one bitset-table row per byte of the mask (the
+Four-Russians lookup `gf2.vec_mat_mul` also uses).  `pack_erasures` makes
+those masks from raw Philox words with an integer threshold, bit for bit
+the patterns that `Generator.random(...) < ε` would give.
 
 Exact equivocation counts all 2^n erasure patterns into a rank profile
 N(µ, r) without scoring a pattern on its own: up to n = 28 with one
@@ -40,16 +43,53 @@ EVAL_BLOCK_ENTRIES = 1 << 18
 CI95 = 1.96
 
 
-# Row spaces of at most this dimension are listed and matched against whole
-# batches; above it, per-pattern elimination is cheaper.  Per trial at d = 13:
-# 12–22 µs listed against 13–74 µs eliminated (n = 30..127); at d = 14, n = 32,
-# 24 µs against 12.
+# Row spaces of at most this dimension are listed into bitset tables, one
+# (256, max(1, 2^d/64)) uint64 table per byte of a pattern; above it, each
+# pattern gets its own elimination.  Per pattern at n = 30..127 (2-vCPU VM),
+# d = 13: 2.1–3.8 µs by tables against 7.8–162 µs eliminated; d = 14:
+# 1.7–7.9 µs against 5.0–151 µs.  The crossover lies above 13, but table
+# memory doubles with each d (4 MB at d = 13, n = 127; 8 MB at d = 14).
 SPAN_MAX_DIM = 13
+# uint64 words in the kernel's accumulator and in each gathered table slice
+# (2 MB each), so its scratch stays fixed however many patterns a batch holds.
+KERNEL_BLOCK_WORDS = 1 << 18
 _POPCOUNT8 = np.array([bin(i).count("1") for i in range(256)])
+_M1, _M2, _M4, _H01 = (np.uint64(v) for v in (0x5555555555555555, 0x3333333333333333,
+                                               0x0F0F0F0F0F0F0F0F, 0x0101010101010101))
+
+
+def _popcount64(x: np.ndarray) -> np.ndarray:
+    """Set bits of each uint64 entry, by SWAR steps (`np.bitwise_count` needs
+    numpy 2.0); overwrites x."""
+    x -= (x >> np.uint64(1)) & _M1
+    x = (x & _M2) + ((x >> np.uint64(2)) & _M2)
+    x = (x + (x >> np.uint64(4))) & _M4
+    return (x * _H01) >> np.uint64(56)
+
+
+def _row_weights(packed: np.ndarray) -> np.ndarray:
+    """Set bits per row of a packed (N, B) uint8 batch, as int64."""
+    weights = np.zeros(len(packed), dtype=np.int64)
+    for col in packed.T:
+        weights += _POPCOUNT8[col]
+    return weights
+
+
+def pack_erasures(words: np.ndarray, eps: float) -> np.ndarray:
+    """Erased masks, packed as `gf2.pack` packs, from an (N, n) array of raw
+    Philox words, which it overwrites: position i is erased when the double
+    (word >> 11)·2^−53 that `Generator.random` makes of word i is below ε,
+    that is when word >> 11 is below ⌈ε·2^53⌉, for every ε in [0, 1]."""
+    size, n = words.shape
+    words >>= np.uint64(11)
+    erased = np.zeros((size, 8 * ((n + 7) // 8)), dtype=bool)
+    np.less(words, np.uint64(math.ceil(eps * 2**53)), out=erased[:, :n])
+    return np.packbits(erased, bitorder="little").reshape(size, -1)
 
 
 def _smaller_row_space(code: CodeSpec) -> list[int]:
-    """All 2^min(k, dim) words of C⊥ (spanned by H) when k ≤ dim, else of C."""
+    """All 2^min(k, dim) words of C⊥ (spanned by H) when k ≤ dim, else of C;
+    word x is the sum of the basis rows picked by the bits of x."""
     span = [0]
     for row in (code.H if code.k <= code.dim else code.G).rows:
         span += [c ^ row for c in span]
@@ -59,45 +99,66 @@ def _smaller_row_space(code: CodeSpec) -> list[int]:
 class PatternEntropy:
     """Per-pattern entropy h(E), in bits, for batches of erased-position masks.
 
-    Lists the row space D of the smaller of H (D = C⊥) and G (D = C) once;
-    then h = k − log2 #{c ∈ D : c ∧ E = 0} on the H side and
-    h = |E| − log2 #{c ∈ D : c ∧ ¬E = 0} on the G side, one AND-and-compare
-    per word of D over the whole batch.  Each count is the size of a subspace,
-    so its log2 is exact.  When min(k, dim) > SPAN_MAX_DIM, each pattern gets
-    one GF(2) elimination instead, on the cheaper of H_E and G_Ē.
+    h = k − log2 #{c ∈ D : c ∧ E = 0} on the H side (D = C⊥, k ≤ dim) and
+    h = |E| − log2 #{c ∈ D : c ∧ ¬E = 0} on the G side (D = C); each count is
+    the size of a subspace, so its log2 is exact.  With d = min(k, dim) ≤
+    SPAN_MAX_DIM, the 2^d words of D are indexed by their coefficient vector
+    x and each set of them is a bitset over x, W = max(1, 2^d/64) uint64
+    words.  Z_i = {x : bit i of word x is 0}, and byte j of a mask indexes a
+    (256, W) table whose entry b is the AND of Z_i over the bits i of b (built
+    by doubling; entry 0 is all of D).  A pattern's set is the AND of one
+    table row per byte.  It is a subspace of x, so its size is the popcount of
+    its word 0 (x < 64) times the number of its nonzero words (the distinct
+    high parts of x).  The G side stores each table reversed, so that the
+    erased byte picks the entry of its complement.  Positions past n are zero
+    in every word, so they constrain neither side.  When d > SPAN_MAX_DIM,
+    each pattern gets one GF(2) elimination instead, on the cheaper of H_E
+    and G_Ē.
     """
 
     def __init__(self, code: CodeSpec):
         self.n, self.k, self.dim = code.n, code.k, code.dim
         self.h_side = code.k <= code.dim
-        if min(code.k, code.dim) > SPAN_MAX_DIM:
-            self.span = None
+        d = min(code.k, code.dim)
+        if d > SPAN_MAX_DIM:
+            self.tables = None
             self.cols_h, self.cols_g = gf2.column_ints(code.H), gf2.column_ints(code.G)
             return
-        # (2^d − 1, ⌈n/64⌉) uint64 words; the zero word is counted up front.
-        self.span = gf2.pack(_smaller_row_space(code)[1:], 64 * ((code.n + 63) // 64)).view("<u8")
+        nbytes, w = (code.n + 7) // 8, max(1, (1 << d) // 64)
+        words = gf2.pack(_smaller_row_space(code), 8 * nbytes)  # (2^d, nbytes)
+        zero = np.unpackbits(~words, axis=1, bitorder="little")  # 1 where word x has a 0
+        z = np.zeros((8 * nbytes, 8 * w), dtype=np.uint8)
+        z[:, : -(-len(words) // 8)] = np.packbits(zero.T, axis=1, bitorder="little")
+        z = z.view("<u8").reshape(nbytes, 8, w)  # Z_{8j+b} at [j, b]
+        self.tables = np.empty((nbytes, 256, w), dtype=np.uint64)
+        t = self.tables if self.h_side else self.tables[:, ::-1]  # G: entry b at 255 − b
+        t[:, 0] = np.uint64((1 << min(1 << d, 64)) - 1)
+        for b in range(8):
+            np.bitwise_and(t[:, : 1 << b], z[:, b, None], out=t[:, 1 << b : 2 << b])
 
     def __call__(self, erased: np.ndarray) -> np.ndarray:
         """Entropies (int64) of the patterns in an (N, ⌈n/8⌉) batch of
         erased-position masks, packed as `gf2.pack` packs."""
-        nerased = _POPCOUNT8[erased].sum(axis=1)
-        if self.span is None:
-            return np.array([self._eliminate(row, int(e))
-                             for row, e in zip(gf2.unpack(erased), nerased)], dtype=np.int64)
-        padded = np.zeros((len(erased), 8 * self.span.shape[1]), dtype=np.uint8)
-        padded[:, : erased.shape[1]] = erased
-        m = np.ascontiguousarray(padded.view("<u8").T)  # (words, N)
-        if not self.h_side:
-            m = ~m
-        count = np.ones(len(erased), dtype=np.int32)
-        hit, tmp = np.empty(len(erased), dtype=bool), np.empty(len(erased), dtype=np.uint64)
-        for c in self.span:
-            np.equal(np.bitwise_and(m[0], c[0], out=tmp), 0, out=hit)
-            for w in range(1, len(c)):
-                hit &= np.bitwise_and(m[w], c[w], out=tmp) == 0
-            count += hit
-        log_count = np.frexp(count)[1] - 1
-        return (self.k if self.h_side else nerased) - log_count.astype(np.int64)
+        if self.tables is None:
+            return np.array([self._eliminate(row, int(e)) for row, e
+                             in zip(gf2.unpack(erased), _row_weights(erased))], dtype=np.int64)
+        log_count = np.empty(len(erased), dtype=np.int64)
+        w = self.tables.shape[2]
+        rows = max(1, KERNEL_BLOCK_WORDS // w)
+        acc = np.empty((min(rows, len(erased)), w), dtype=np.uint64)
+        gathered = np.empty_like(acc)
+        for lo in range(0, len(erased), rows):
+            block = erased[lo : lo + rows]
+            a, g = acc[: len(block)], gathered[: len(block)]
+            # mode="clip" (a byte never clips) spares take's buffered `out`.
+            np.take(self.tables[0], block[:, 0], axis=0, out=a, mode="clip")
+            for j in range(1, len(self.tables)):
+                a &= np.take(self.tables[j], block[:, j], axis=0, out=g, mode="clip")
+            nonzero = np.count_nonzero(a, axis=1).astype(np.uint64)
+            log_count[lo : lo + rows] = np.frexp(_popcount64(a[:, 0]) * nonzero)[1] - 1
+        if self.h_side:
+            return self.k - log_count
+        return _row_weights(erased) - log_count
 
     def _eliminate(self, erased: int, nerased: int) -> int:
         if nerased * self.k <= (self.n - nerased) * self.dim:
@@ -360,9 +421,8 @@ def mc_equivocation(code: CodeSpec, eps: float, trials: int, seed: int) -> McEst
     s = ss = 0
     for bindex, start in enumerate(range(0, trials, MC_BATCH)):
         size = min(MC_BATCH, trials - start)
-        rng = make_rng(seed, bindex)
-        erased = rng.random((size, code.n)) < eps
-        h = ent(np.packbits(erased, axis=1, bitorder="little"))
+        words = make_rng(seed, bindex).bit_generator.random_raw((size, code.n))
+        h = ent(pack_erasures(words, eps))
         s += int(h.sum())
         ss += int(h @ h)
     mean = s / trials

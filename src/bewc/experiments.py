@@ -38,16 +38,17 @@ SESSION_CHUNK = 2048
 
 def _session_stream(rng: np.random.Generator, trials: int, mb: int, vb: int, n: int):
     """Yield, chunk by chunk, exactly what per-trial `rng.bytes(mb)`,
-    `rng.bytes(vb)` and `rng.random(n)` calls would return: an (N, mb) and an
-    (N, vb) uint8 view whose rows are those byte strings, and an (N, n) array
-    of doubles.
+    `rng.bytes(vb)` and `rng.random(n)` calls would read: an (N, mb) and an
+    (N, vb) uint8 view whose rows are those byte strings, and an (N, n)
+    uint64 array of the raw words that `random` turns into its doubles,
+    (word >> 11)·2^−53, ready for `equivocation.pack_erasures`.
 
     Each chunk is one `random_raw` read of 64-bit Philox words.  `bytes(L)`
     draws ⌈L/4⌉ uint32s; a uint32 draw takes the low half of a fresh word and
     buffers the high half for the next uint32 draw, across calls and trials.
-    A double is (word >> 11)·2^−53 of a fresh word and leaves the buffer
-    alone.  With c = ⌈mb/4⌉ + ⌈vb/4⌉ uint32s per trial, each pair of trials
-    reads ⌈c/2⌉ uint32 words, n doubles, ⌊c/2⌋ uint32 words, n doubles.
+    A double takes a fresh word and leaves the buffer alone.  With
+    c = ⌈mb/4⌉ + ⌈vb/4⌉ uint32s per trial, each pair of trials reads ⌈c/2⌉
+    uint32 words, n double words, ⌊c/2⌋ uint32 words, n double words.
     """
     cm, cv = -(-mb // 4), -(-vb // 4)
     c = cm + cv
@@ -61,8 +62,7 @@ def _session_stream(rng: np.random.Generator, trials: int, mb: int, vb: int, n: 
         u32 = halves.astype("<u8", copy=False).view("<u4").reshape(2 * pairs, c)[:size]
         u8 = u32.view(np.uint8)
         words = np.stack([raw[:, h0 : h0 + n], raw[:, h0 + n + h1 :]], axis=1)
-        draws = (words.reshape(2 * pairs, n)[:size] >> np.uint64(11)) * 2.0**-53
-        yield u8[:, :mb], u8[:, 4 * cm : 4 * cm + vb], draws
+        yield u8[:, :mb], u8[:, 4 * cm : 4 * cm + vb], words.reshape(2 * pairs, n)[:size]
 
 
 def simulate_session(code: CodeSpec, eps: float, trials: int, seed: int) -> SessionReport:
@@ -71,9 +71,10 @@ def simulate_session(code: CodeSpec, eps: float, trials: int, seed: int) -> Sess
 
     The stream contract is per trial: m from `rng.bytes(⌈k/8⌉)`, v from
     `rng.bytes(⌈dim/8⌉)`, each cut to its low k or dim bits, then the
-    erasures from `rng.random(n)` < ε.  `_session_stream` reproduces those
-    values bit for bit from one raw read per SESSION_CHUNK trials, and each
-    chunk takes one `encode`, one `decode` and one `PatternEntropy` call.
+    erasures from `rng.random(n)` < ε.  `_session_stream` reads the same
+    words from one raw read per SESSION_CHUNK trials, `pack_erasures` decides
+    each erasure on its word as `random` would, and each chunk takes one
+    `encode`, one `decode` and one `PatternEntropy` call.
     """
     eq.check_mc_args(eps, trials)
     enc = coset.build_encoder(code)
@@ -85,11 +86,11 @@ def simulate_session(code: CodeSpec, eps: float, trials: int, seed: int) -> Sess
     rng = make_rng(seed, "session")
     bob_ok = 0
     s = ss = 0
-    for mbytes, vbytes, draws in _session_stream(rng, trials, mb, vb, n):
+    for mbytes, vbytes, words in _session_stream(rng, trials, mb, vb, n):
         m = mbytes & mask_m
         x = coset.encode(enc, m, vbytes & mask_v)
         bob_ok += int(np.all(coset.decode(enc, x) == m, axis=1).sum())
-        h = ent(np.packbits(draws < eps, axis=1, bitorder="little"))
+        h = ent(eq.pack_erasures(words, eps))
         s += int(h.sum())
         ss += int(h @ h)
     mean = s / trials

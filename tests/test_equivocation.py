@@ -79,18 +79,45 @@ def test_dual_side_entropy_equivalence():
 
 
 def test_entropy_kernel_scalar_path_and_long_codes():
+    # Erasure densities from 0 to 1, so both elimination sides are taken.
     rng = np.random.default_rng(21)
-
-    def sample_masks(n, count):
-        # Erasure densities from 0 to 1, so both elimination sides are taken.
-        return [sum(1 << int(i) for i in np.flatnonzero(rng.random(n) < j / (count - 1)))
-                for j in range(count)]
-
     scalar = random_code(30, 15, seed=2)
-    assert PatternEntropy(scalar).span is None  # min(k, dim) > SPAN_MAX_DIM
-    _assert_kernel_matches_generator_formula(scalar, sample_masks(30, 300))
+    assert PatternEntropy(scalar).tables is None  # min(k, dim) > SPAN_MAX_DIM
+    _assert_kernel_matches_generator_formula(scalar, _sample_masks(rng, 30, 300))
     for code in (bewc.hamming_base(7), bewc.simplex_base(7)):  # two 64-bit words
-        _assert_kernel_matches_generator_formula(code, sample_masks(127, 120))
+        _assert_kernel_matches_generator_formula(code, _sample_masks(rng, 127, 120))
+
+
+def _sample_masks(rng, n, count):
+    """Erased masks at densities from 0 to 1, so counts of every size occur."""
+    return [sum(1 << int(i) for i in np.flatnonzero(rng.random(n) < j / (count - 1)))
+            for j in range(count)]
+
+
+@pytest.mark.parametrize("d", range(1, eq.SPAN_MAX_DIM + 1))
+def test_entropy_tables_every_listed_dimension(d):
+    # Both sides at each listed d, at n on byte and 64-bit word edges; n > 2d
+    # puts the (n, n − d) code on the H side and its dual on the G side.
+    rng = np.random.default_rng(d)
+    for n in (n for n in (8, 9, 63, 64, 65, 127) if n > 2 * d):
+        code = random_code(n, n - d, seed=n + d)
+        dual = bewc.from_generator(code.H, "dual")
+        assert PatternEntropy(code).h_side and not PatternEntropy(dual).h_side
+        for c in (code, dual):
+            assert PatternEntropy(c).tables.shape == ((n + 7) // 8, 256, max(1, 2**d // 64))
+            _assert_kernel_matches_generator_formula(c, _sample_masks(rng, n, 40))
+
+
+@pytest.mark.parametrize("n, dim", [(31, 26), (31, 5), (20, 8), (20, 12), (70, 62)])
+def test_entropy_tables_score_in_row_blocks(n, dim, monkeypatch):
+    # W = 1 and W = 4 words per bitset; blocks of 1 and 3 rows, the last ragged.
+    code = random_code(n, dim, seed=n)
+    erased = pack(_sample_masks(np.random.default_rng(n), n, 50), n)
+    want = PatternEntropy(code)(erased)
+    for rows in (1, 3):
+        ent = PatternEntropy(code)
+        monkeypatch.setattr(eq, "KERNEL_BLOCK_WORDS", rows * ent.tables.shape[2])
+        assert ent(erased).tolist() == want.tolist()
 
 
 # ---------------------------------------------------------------- oracle
@@ -497,6 +524,25 @@ def test_mc_validates_arguments():
         bewc.mc_equivocation(h3, 0.3, 1, seed=1)
     with pytest.raises(ValueError):
         bewc.mc_equivocation(h3, -0.1, 100, seed=1)
+
+
+@pytest.mark.parametrize("eps", [0.0, 5e-324, 2.0**-53, math.nextafter(0.3, 0), 0.3,
+                                 math.nextafter(0.3, 1), 0.5, 1 - 2.0**-53, 1.0])
+def test_pack_erasures_matches_generator_random(eps):
+    # The integer threshold on raw words decides `Generator.random(...) < eps`
+    # for every word, at the edges of the double grid too.
+    for n in (1, 7, 8, 9, 31, 64, 65):
+        key = codes.derive_seed(17, n)
+        words = codes.make_rng(key).bit_generator.random_raw((300, n))
+        want = np.packbits(codes.make_rng(key).random((300, n)) < eps, axis=1, bitorder="little")
+        got = eq.pack_erasures(words, eps)
+        assert got.shape == want.shape and np.array_equal(got, want), (eps, n)
+    # Random words never land next to the threshold; these do, low bits set.
+    edge = math.ceil(eps * 2**53)
+    tops = [t for t in range(edge - 2, edge + 2) if 0 <= t < 2**53]
+    words = np.array([[t << 11 | 0x7FF for t in tops]], dtype=np.uint64)
+    want = gf2.pack([sum(1 << i for i, t in enumerate(tops) if t * 2.0**-53 < eps)], len(tops))
+    assert np.array_equal(eq.pack_erasures(words, eps), want)
 
 
 # mean.hex() and stddev.hex() recorded while each pattern was still scored by

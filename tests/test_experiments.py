@@ -51,10 +51,11 @@ def test_session_stream_matches_generator_calls(chunk, monkeypatch):
         seed = int(pick.integers(1 << 63))
         fast, slow = codes.make_rng(seed), codes.make_rng(seed)
         read = 0
-        for mbytes, vbytes, draws in experiments._session_stream(fast, trials, mb, vb, n):
-            assert len(mbytes) == len(vbytes) == len(draws) <= chunk
-            assert mbytes.dtype == vbytes.dtype == np.uint8
+        for mbytes, vbytes, words in experiments._session_stream(fast, trials, mb, vb, n):
+            assert len(mbytes) == len(vbytes) == len(words) <= chunk
+            assert mbytes.dtype == vbytes.dtype == np.uint8 and words.dtype == np.uint64
             assert mbytes.shape[1:] == (mb,) and vbytes.shape[1:] == (vb,)
+            draws = (words >> np.uint64(11)) * 2.0**-53
             for m, v, d in zip(mbytes, vbytes, draws):
                 assert m.tobytes() == slow.bytes(mb), (k, dim, read)
                 assert v.tobytes() == slow.bytes(vb), (k, dim, read)

@@ -8,7 +8,9 @@ product to `equivocation.equivocation_bits`, the evaluator `curve` and `gap`
 use, which moved some values by at most 2.2e-16.  The `sweep` pins were
 re-recorded when its n = 31 row moved from Monte Carlo to the exact support
 profile (Ag 0.031612903225806455 → 0.031754822448475495, 0.18 standard
-errors of the old estimate).
+errors of the old estimate).  The n = 31 `gap` pins (four bytes per
+pattern) were recorded before sampled patterns were scored by bitset tables
+and decided on raw Philox words.
 """
 
 import hashlib
@@ -31,6 +33,9 @@ PIN_COMMANDS = {
                  "--trials", "2000"],
     "gap-exact": ["gap", "--family", "hamming", "--r", "4", "--method", "exact"],
     "gap-mc": ["gap", "--family", "simplex", "--r", "3", "--method", "mc", "--trials", "2000"],
+    # n = 31, four bytes per pattern: hamming-5 is scored on its H side, simplex-5 on its G side.
+    "gap-mc-h31": ["gap", "--family", "hamming", "--r", "5", "--method", "mc", "--trials", "20000"],
+    "gap-mc-g31": ["gap", "--family", "simplex", "--r", "5", "--method", "mc", "--trials", "20000"],
     "sweep": ["sweep", "--family", "hamming", "--rs", "3", "5", "--trials", "2000"],
     "search": ["search", "--n", "5", "--dim", "2"],
     "ensemble": ["ensemble", "--n", "7", "--dim", "4", "--alpha", "0.5", "--codes", "2",
@@ -49,6 +54,10 @@ OUTPUT_PINS = {
     ("gap-exact", "json"): "5fa6db20570271d66c2e80c56d89756c2dac3595937739180c96edc5c5b7ea69",
     ("gap-mc", "csv"): "e8739f627516f8f97ea70ed277099a59fc8b1523f2aab7e1562105d986fe0bbe",
     ("gap-mc", "json"): "aea8d9366543e1271cbbf2ad0a24ee68f1030d17722a6571d722aa2e30603e64",
+    ("gap-mc-h31", "csv"): "fabf3602094e69031ec2a3b37c0e66c915b03cefe8e12c9026ad90b6dfb3bf96",
+    ("gap-mc-h31", "json"): "e8965a88b6e1692c63ad3c9f9282cbbe75b6cf9ab0bba316b53b3cebf7ff24dc",
+    ("gap-mc-g31", "csv"): "e01a1e52a043585bd6e1c0c1f8ad17d0ef80b30dbc14519c9550b596d847f6d4",
+    ("gap-mc-g31", "json"): "0b17b7fa1b70d0e9b0638cd6eb9c8b1566a02ad3a80d980fe49cfe63fc9d3484",
     ("sweep", "csv"): "929249be0db807fc96448e1c2d57466a98205357a835f3dab1f12052bf6ee3aa",
     ("sweep", "json"): "2b1e1f34aef649c286f643a254ec26cdbb606b3ec2c39d320bdd11111984352d",
     ("search", "csv"): "bfc3999c3f2ff2f4aa5c62a9ea69ce803b309891a35d00538a0397364d049b74",
