@@ -22,7 +22,8 @@ from . import gf2
 from .gf2 import BitMatrix
 
 SUBSPACE_ENUM_GUARD = 10**7
-# Fills per array in `enumerate_subspaces`: one pivot set can have 2^23.
+# Bases per `subspace_blocks` array: one pivot set can have 2^23 fills.  It also
+# bounds `equivocation.subcode_supports`' popcount scratch, 256 KB per 64 positions.
 SUBSPACE_BLOCK = 4096
 # Each `random_base` attempt draws a (dim, n) generator and ranks it.  A draw
 # that is dependent again and again is sparse, and costs 14–22 ns per entry
@@ -192,11 +193,28 @@ def gaussian_binomial(n: int, d: int) -> int:
     return num // den
 
 
-def enumerate_subspaces(n: int, dim: int) -> Iterator[BitMatrix]:
-    """Yield every dim-dimensional subspace of GF(2)^n once, as its RREF basis.
+def subspace_blocks(n: int, dim: int) -> Iterator[np.ndarray]:
+    """Every dim-dimensional subspace of GF(2)^n once, unguarded, as (dim, ≤
+    SUBSPACE_BLOCK) arrays of RREF bases, one per column (int64 rows below n = 64):
+    pivot-column sets in lexicographic order, then each set's fills of its free
+    entries counted up from 0, fill bit t setting free slot t (row-major)."""
+    dtype = np.int64 if n < 64 else object  # an int64 holds bits 0..62
+    for pivots in combinations(range(n), dim):
+        # Free slots: (row, col) with col past the row's pivot and not a pivot.
+        slots = [(i, j) for i, p in enumerate(pivots)
+                 for j in range(p + 1, n) if j not in pivots]
+        base, size = np.array([1 << p for p in pivots], dtype=dtype)[:, None], 1 << len(slots)
+        for lo in range(0, size, SUBSPACE_BLOCK):
+            fill = np.arange(lo, min(lo + SUBSPACE_BLOCK, size), dtype=np.int64)
+            block = base + np.zeros_like(fill)
+            for t, (i, j) in enumerate(slots):
+                block[i] |= ((fill >> t) & 1) << j
+            yield block
 
-    Enumerates pivot-column sets, then all fills of the free entries in blocks.
-    """
+
+def enumerate_subspaces(n: int, dim: int) -> Iterator[BitMatrix]:
+    """Yield every dim-dimensional subspace of GF(2)^n once, as its RREF basis,
+    in `subspace_blocks` order."""
     # [n choose dim]_2 ≥ 2^(dim·(n−dim)) refuses a huge shape before its count
     # is computed, which takes over 30 s at (8000, 4000).
     if (0 <= dim <= n and dim * (n - dim) >= SUBSPACE_ENUM_GUARD.bit_length()) or (
@@ -205,20 +223,9 @@ def enumerate_subspaces(n: int, dim: int) -> Iterator[BitMatrix]:
         raise GuardError(
             f"the ({n},{dim}) subspaces outnumber the enumeration guard ({SUBSPACE_ENUM_GUARD})"
         )
-    dtype = np.int64 if n < 64 else object  # n ≥ 64 passes the guard only at dim 0 or n
-    for pivots in combinations(range(n), dim):
-        pivset = set(pivots)
-        # Free slots: (row, col) with col past the row's pivot and not a pivot.
-        slots = [(i, j) for i, p in enumerate(pivots)
-                 for j in range(p + 1, n) if j not in pivset]
-        weight = np.zeros((len(slots), dim), dtype=dtype)  # fill bit t sets 2^j in row i
-        for t, (i, j) in enumerate(slots):
-            weight[t, i] = 1 << j
-        base, size = 1 << np.array(pivots, dtype=dtype), 1 << len(slots)
-        for lo in range(0, size, SUBSPACE_BLOCK):
-            fills = np.arange(lo, min(lo + SUBSPACE_BLOCK, size), dtype=np.int64)
-            for r in (base + ((fills[:, None] >> np.arange(len(slots))) & 1) @ weight).tolist():
-                yield BitMatrix(n, tuple(r))
+    for block in subspace_blocks(n, dim):  # n ≥ 64 passes the guard only at dim 0 or n
+        for rows in block.T.tolist():
+            yield BitMatrix(n, tuple(rows))
 
 
 def canonical_generator(m: BitMatrix) -> BitMatrix:

@@ -25,13 +25,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Optional, Sequence
 
 import numpy as np
 
 from . import gf2
-from .codes import CodeSpec, GuardError, derive_seed, gaussian_binomial, make_rng
+from .codes import CodeSpec, GuardError, derive_seed, gaussian_binomial, make_rng, subspace_blocks
 
 # Bounds the real cost of `rank_profile`: O(n·2^n) time in 2^15-entry blocks
 # whatever min(k, dim) is, 0.3 s at n = 24 and 6 s at n = 28 (2-vCPU VM).
@@ -173,40 +172,51 @@ class PatternEntropy:
 ZETA_LOW_BITS = 15
 
 
+def _relabel(code: CodeSpec, counts: np.ndarray) -> np.ndarray:
+    """N(µ, r) in counts' dtype from counts[s, l], the number of s-sets S with
+    l(S) = dim{c ∈ D : supp c ⊆ S} = l, D the smaller side.  S is the revealed
+    set on the H side (D = C⊥): N[s, s − l] = counts[s, l].  It is the erased
+    set on the G side (D = C, d = dim): N[n − s, dim − l], a reversal of both axes."""
+    n, dim, d = code.n, code.dim, counts.shape[1] - 1
+    if code.k > dim:
+        return counts[::-1, ::-1]
+    # Row s of counts[:, ::-1], laid out with stride dim + 2 and read back with
+    # stride dim + 1 from offset d, lands shifted by s − d: column d − l at r = s − l.
+    flat = np.zeros((n + 1) * (dim + 2), dtype=counts.dtype)
+    flat.reshape(n + 1, dim + 2)[:, : d + 1] = counts[:, ::-1]
+    return flat[d : d + (n + 1) * (dim + 1)].reshape(n + 1, dim + 1)
+
+
 def rank_profile(code: CodeSpec) -> np.ndarray:
     """N(µ, r) as an (n + 1, dim + 1) int64 array: revealed-position subsets by
     size µ and rank r of G_µ, tallied over all 2^n subsets by one subset-sum
     (zeta) transform, O(n·2^n) whatever min(k, dim) is.
 
-    With D the row space of the smaller side, f[S] = #{c ∈ D : supp c ⊆ S}
-    is a power of two for every S ⊆ [n].  On the H side (D = C⊥), S is the
-    revealed set R and rank(G_R) = |R| − log2 f[R]; on the G side (D = C),
-    S is the erased set E and rank(G_R) = dim − log2 f[E].  f is built one
-    2^L block at a time (L = min(n, ZETA_LOW_BITS)), one block per value of
-    the high bits of S.
+    With D the row space of the smaller side, of dimension d, f[S] =
+    #{c ∈ D : supp c ⊆ S} is a power of two for every S ⊆ [n].  Each S is
+    tallied at |S|·(d + 1) + log2 f[S], and `_relabel` maps those counts to
+    N(µ, r).  f is built one 2^L block at a time (L = min(n, ZETA_LOW_BITS)),
+    one block per value of the high bits of S.
     """
-    n, dim = code.n, code.dim
+    n = code.n
     if n > RANK_PROFILE_GUARD_N:
         raise GuardError(f"rank profile needs n <= {RANK_PROFILE_GUARD_N}, got {n}")
     span = np.array(_smaller_row_space(code), dtype=np.int64)
+    d = min(code.k, code.dim)
     low = min(n, ZETA_LOW_BITS)
     span_lo, span_hi = span & ((1 << low) - 1), span >> low
-    # |S_lo| for S_lo < 2^low, as (high byte, low byte) popcount sums.
-    pop = (_POPCOUNT8[: 1 << max(low - 8, 0), None] + _POPCOUNT8[: 1 << min(low, 8)]).ravel()
-    # Tally index µ·(dim+1) + r = base[S_lo] + step·|S_hi| − log2 f[S].
-    if code.k <= dim:  # H side: µ = |S|, r = |S| − log2 f
-        base, step = pop * (dim + 2), dim + 2
-    else:  # G side: µ = n − |S|, r = dim − log2 f
-        base, step = (n - pop) * (dim + 1) + dim, -(dim + 1)
-    tally = np.zeros((n + 1) * (dim + 1), dtype=np.int64)
+    # |S_lo|·(d + 1) for S_lo < 2^low, from (high byte, low byte) popcount sums.
+    base = (_POPCOUNT8[: 1 << max(low - 8, 0), None] + _POPCOUNT8[: 1 << min(low, 8)]).ravel()
+    base *= d + 1
+    tally = np.zeros((n + 1) * (d + 1), dtype=np.int64)
     for hi in range(1 << (n - low)):
         f = np.bincount(span_lo[(span_hi & ~hi) == 0], minlength=1 << low).astype(np.int32)
         for i in range(low):
             v = f.reshape(-1, 2, 1 << i)
             v[:, 1] += v[:, 0]
         log_f = np.frexp(f)[1] - 1
-        tally += np.bincount(base + (step * hi.bit_count() - log_f), minlength=tally.size)
-    return tally.reshape(n + 1, dim + 1)
+        tally += np.bincount(base + ((d + 1) * hi.bit_count() + log_f), minlength=tally.size)
+    return _relabel(code, tally.reshape(n + 1, d + 1))
 
 
 # Bounds the real cost of `support_profile`, in units of one subcode or one
@@ -215,9 +225,6 @@ def rank_profile(code: CodeSpec) -> np.ndarray:
 # units, 0.15 s.  So does d = 9 up to n = 462: random (40,9) took 1.0–1.3 s
 # and (300,9), 9.0·10^6 units, 2.5–3.2 s.
 SUPPORT_PROFILE_BUDGET = 10**7
-# Subcodes whose supports are formed at once; the popcount's int64 scratch
-# is 256 KB per 64 positions.
-SUBCODE_BLOCK = 1 << 12
 
 
 def support_profile_cost(n: int, d: int) -> int:
@@ -260,28 +267,22 @@ def subcode_supports(code: CodeSpec) -> np.ndarray:
     (C⊥ when k ≤ dim, else C), whose support |supp U| is w: (d + 1, n + 1) int64.
 
     D's 2^d words are listed once as uint64 rows, row x the sum of the basis
-    words picked by the bits of x.  Each U is the span of the words at the
-    rows of one j×d coordinate RREF (a pivot set, then every fill of its free
-    entries), and its support is the OR of those words.
+    words picked by the bits of x.  The j-dimensional subspaces of those
+    coordinates x come from `codes.subspace_blocks(d, j)`, one RREF basis per
+    column; U is the span of the words at its rows, and its support is the OR
+    of those words.
     """
     n = code.n
     words = gf2.pack(_smaller_row_space(code), 64 * ((n + 63) // 64)).view("<u8")
     d = min(code.k, code.dim)
     tally = np.zeros((d + 1, n + 1), dtype=np.int64)
     for j in range(d + 1):
-        for pivots in combinations(range(d), j):
-            slots = [(i, c) for i, p in enumerate(pivots) for c in range(p + 1, d)
-                     if c not in pivots]
-            for lo in range(0, 1 << len(slots), SUBCODE_BLOCK):
-                fill = np.arange(lo, min(lo + SUBCODE_BLOCK, 1 << len(slots)))
-                coords = (1 << np.array(pivots, dtype=np.int64))[:, None] + np.zeros_like(fill)
-                for t, (i, c) in enumerate(slots):
-                    coords[i] |= ((fill >> t) & 1) << c
-                support = np.zeros((len(fill), words.shape[1]), dtype=np.uint64)
-                for row in coords:
-                    support |= words[row]
-                weight = _POPCOUNT8[support.view(np.uint8)].sum(axis=1)
-                tally[j] += np.bincount(weight, minlength=n + 1)
+        for block in subspace_blocks(d, j):
+            support = np.zeros((block.shape[1], words.shape[1]), dtype=np.uint64)
+            for row in block:
+                support |= words[row]
+            weight = _POPCOUNT8[support.view(np.uint8)].sum(axis=1)
+            tally[j] += np.bincount(weight, minlength=n + 1)
     return tally
 
 
@@ -294,36 +295,25 @@ def support_profile(code: CodeSpec) -> np.ndarray:
     T_j(s) = Σ_{|S| = s} [l(S) choose j]_2 = Σ_U C(n − |supp U|, s − |supp U|),
     and inverting the Gaussian-binomial triangle gives the number of s-sets
     with l(S) = l: N_l(s) = Σ_{j≥l} (−1)^(j−l) 2^C(j−l, 2) [j choose l]_2 T_j(s)
-    (Wei 1991; Kløve 1992).  S is the revealed set on the H side (µ = s,
-    r = s − l) and the erased set on the G side (µ = n − s, r = dim − l), as
-    in `rank_profile`.  Counts reach 2^n, so they stay Python ints.
+    (Wei 1991; Kløve 1992).  Both are products of Python-int arrays, since
+    counts reach 2^n, and `_relabel` maps N_l(s) to N(µ, r).
     """
     refusal = _support_refusal(code)
     if refusal:
         raise GuardError(refusal)
-    n, dim = code.n, code.dim
+    n = code.n
     supports = subcode_supports(code)
     d = len(supports) - 1
-    t = np.zeros((d + 1, n + 1), dtype=object)  # t[j, s] = T_j(s)
-    binomials = {}  # support w -> C(n − w, s − w) for s = w..n
-    for j, a in enumerate(supports):
-        for w in np.flatnonzero(a).tolist():
-            if w not in binomials:
-                binomials[w] = np.array([math.comb(n - w, i) for i in range(n - w + 1)],
-                                        dtype=object)
-            t[j, w:] += int(a[w]) * binomials[w]
-    counts = np.zeros_like(t)  # counts[l, s] = N_l(s)
+    sizes = np.flatnonzero(supports.any(axis=0))
+    binomials = np.zeros((len(sizes), n + 1), dtype=object)  # C(n − w, s − w) at [w, s]
+    for row, w in zip(binomials, sizes.tolist()):
+        row[w:] = [math.comb(n - w, i) for i in range(n - w + 1)]
+    inverse = np.zeros((d + 1, d + 1), dtype=object)
     for l in range(d + 1):
         for j in range(l, d + 1):
-            sign = -1 if (j - l) & 1 else 1
-            counts[l] += sign * (gaussian_binomial(j, l) << math.comb(j - l, 2)) * t[j]
-    l, s = np.nonzero(counts)
-    profile = np.zeros((n + 1, dim + 1), dtype=object)
-    if code.k <= dim:
-        profile[s, s - l] = counts[l, s]
-    else:
-        profile[n - s, dim - l] = counts[l, s]
-    return profile
+            inverse[l, j] = (-1) ** (j - l) * (gaussian_binomial(j, l) << math.comb(j - l, 2))
+    # (inverse @ A) @ binomials: only the second product spans all n + 1 columns.
+    return _relabel(code, ((inverse @ supports[:, sizes].astype(object)) @ binomials).T)
 
 
 def _exact_profile(code: CodeSpec) -> np.ndarray:

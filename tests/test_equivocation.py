@@ -14,7 +14,7 @@ from bewc.gf2 import pack
 
 from conftest import (all_observations, dual_words, exact_gap_by_dual_count, from_strings,
                       observation, observation_equivocation_oracle, pattern_equivocation,
-                      random_code)
+                      random_code, reference_subspaces)
 
 
 def ternary_brute_force(code, eps, book=None):
@@ -183,6 +183,17 @@ def test_rank_profile_completeness_hamming3():
     prof = bewc.rank_profile(bewc.hamming_base(3))
     assert prof.sum() == 128
     assert prof[7, 4] == 1  # the full revealed set
+
+
+@pytest.mark.parametrize("n, dim, seed", [(16, 8, 1), (16, 5, 2)])
+def test_rank_profile_rows_sum_to_binomials(n, dim, seed):
+    # Both sides of the relabel: (16,8) and its dual have k = dim, (16,5) is on
+    # the G side and its dual on the H side.
+    code = random_code(n, dim, seed=seed)
+    for c in (code, _dual(code)):
+        prof = bewc.rank_profile(c)
+        assert prof.dtype == np.int64 and prof.shape == (n + 1, c.dim + 1)
+        assert prof.sum(axis=1).tolist() == [math.comb(n, mu) for mu in range(n + 1)]
 
 
 def test_rank_profile_guard():
@@ -434,6 +445,54 @@ def test_simplex_subcode_supports_closed_form(r):
         for j in range(r + 1):
             want[j, (1 << r) - (1 << (r - j))] = codes.gaussian_binomial(r, j)
         assert np.array_equal(eq.subcode_supports(code), want)
+
+
+def _reference_subcode_supports(code):
+    """A[j, w] by brute force: each j-dimensional subspace of D's coordinates,
+    listed by `conftest.reference_subspaces`, spans a subcode of D (the smaller
+    side), whose support is the OR of the words at its basis rows."""
+    basis = (code.H if code.k <= code.dim else code.G).rows
+    d = len(basis)
+
+    def word(x):
+        w = 0
+        for i, row in enumerate(basis):
+            if x >> i & 1:
+                w ^= row
+        return w
+
+    want = np.zeros((d + 1, code.n + 1), dtype=np.int64)
+    for j in range(d + 1):
+        for sub in reference_subspaces(d, j):
+            support = 0
+            for x in sub.rows:
+                support |= word(x)
+            want[j, support.bit_count()] += 1
+    return want
+
+
+@pytest.mark.parametrize("block", [None, 1, 3])
+@pytest.mark.parametrize("n, dim, seed", [(9, 5, 1), (12, 7, 2), (10, 8, 3), (6, 3, 4),
+                                          (9, 4, 5), (12, 5, 6), (11, 3, 7)])
+def test_subcode_supports_match_reference_subcodes(n, dim, seed, block, monkeypatch):
+    # d ≤ 5 on the H side (k ≤ dim, the first four) and on the G side; blocks of
+    # 1 and 3 bases end inside a pivot set's fills.
+    if block:
+        monkeypatch.setattr(codes, "SUBSPACE_BLOCK", block)
+    code = random_code(n, dim, seed=seed)
+    assert np.array_equal(eq.subcode_supports(code), _reference_subcode_supports(code))
+
+
+@pytest.mark.parametrize("make", [lambda: bewc.hamming_base(8), lambda: bewc.simplex_base(8)],
+                         ids=["hamming-8", "simplex-8"])
+def test_support_profile_rows_sum_to_binomials_past_int64(make):
+    # Hamming-8 is relabelled on the H side, simplex-8 on the G side; every
+    # revealed set is counted once, in exact Python ints.
+    code = make()
+    prof = eq.support_profile(code)
+    assert all(type(c) is int for c in prof.flat)
+    assert [sum(row) for row in prof.tolist()] == [math.comb(255, mu) for mu in range(256)]
+    assert prof.sum() == 1 << 255
 
 
 @pytest.mark.parametrize("make", [
