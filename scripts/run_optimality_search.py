@@ -16,12 +16,12 @@ from bewc import cli, codes, equivocation as eq
 def run(n: int, dim: int, family_code, outdir: Path) -> None:
     res = bewc.exhaustive_search(n, dim, eq.DEFAULT_GRID)
     canon = codes.canonical_generator(family_code.G)
-    idx = next(i for i, g in enumerate(res.generators) if g.rows == canon.rows)
+    idx = next(i for i in range(res.count) if res.generator(i) == canon)
     everywhere = all(idx in s for s in res.argmax_per_eps)
     print(f"({n},{dim}): {res.count} codes; {family_code.name} argmax at every eps: "
           f"{everywhere}; its Ag {res.gaps[idx]:.5f} vs min {res.gaps.min():.5f}")
     out = outdir / f"search_{n}_{dim}_rates.csv"
-    rows = [[";".join(g.row_strings()), *res.rates[i]] for i, g in enumerate(res.generators)]
+    rows = [[";".join(res.generator(i).row_strings()), *res.rates[i]] for i in range(res.count)]
     out.write_text(cli.csv_text(["generator", *eq.DEFAULT_GRID], rows))
     print(f"wrote {out}")
 

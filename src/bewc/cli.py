@@ -220,16 +220,16 @@ def cmd_search(args) -> int:
     rates = 8 * experiments.search_count(args.n, args.dim)  # one float64 per code
     res = experiments.exhaustive_search(args.n, args.dim, _grid(args, POINT_BYTES + rates))
     best = res.ranking[0]
-    gen = res.generators[best]
+    gen = res.generator(best)
     print(f"examined {res.count} ({args.n},{args.dim}) codes")
     print(f"min Ag = {res.gaps[best]:.4f} at generator {' '.join(gen.row_strings())}")
     if args.format == "json":
-        top10 = [{"generator": res.generators[i].row_strings(), "Ag": float(res.gaps[i])}
+        top10 = [{"generator": res.generator(i).row_strings(), "Ag": float(res.gaps[i])}
                  for i in res.ranking[:10]]
         _json(args, count=res.count, min_Ag=float(res.gaps[best]),
               best_generator=gen.row_strings(), ranking_top10=top10)
     else:
-        rows = [(pos, res.gaps[i], " ".join(res.generators[i].row_strings()))
+        rows = [(pos, res.gaps[i], " ".join(res.generator(i).row_strings()))
                 for pos, i in enumerate(res.ranking)]
         _write(args, csv_text(["rank", "Ag", "generator"], rows))
     return 0

@@ -22,8 +22,8 @@ from . import gf2
 from .gf2 import BitMatrix
 
 SUBSPACE_ENUM_GUARD = 10**7
-# Bases per `subspace_blocks` array: one pivot set can have 2^23 fills.  It also
-# bounds `equivocation.subcode_supports`' popcount scratch, 256 KB per 64 positions.
+# Bases per `enumerate_subspaces` array: one pivot set can have 2^23 fills.  It also
+# bounds `subcode_supports`' scratch per 64 positions: 32 KB a gathered row, 256 KB of popcounts.
 SUBSPACE_BLOCK = 4096
 # Each `random_base` attempt draws a (dim, n) generator and ranks it.  A draw
 # that is dependent again and again is sparse, and costs 14–22 ns per entry
@@ -193,11 +193,21 @@ def gaussian_binomial(n: int, d: int) -> int:
     return num // den
 
 
-def subspace_blocks(n: int, dim: int) -> Iterator[np.ndarray]:
-    """Every dim-dimensional subspace of GF(2)^n once, unguarded, as (dim, ≤
-    SUBSPACE_BLOCK) arrays of RREF bases, one per column (int64 rows below n = 64):
-    pivot-column sets in lexicographic order, then each set's fills of its free
-    entries counted up from 0, fill bit t setting free slot t (row-major)."""
+def enumerate_subspaces(n: int, dim: int) -> Iterator[np.ndarray]:
+    """Every dim-dimensional subspace of GF(2)^n once, as (dim, ≤ SUBSPACE_BLOCK)
+    arrays of RREF bases, one basis per column: int64 rows below n = 64, Python
+    ints from n = 64 on, where the guard admits only dim 0 and n.  Pivot-column
+    sets come in lexicographic order, then each set's fills of its free entries
+    counted up from 0, fill bit t setting free slot t (row-major).  A shape with
+    over SUBSPACE_ENUM_GUARD subspaces is refused at the first `next`."""
+    # [n choose dim]_2 ≥ 2^(dim·(n−dim)) refuses a huge shape before its count
+    # is computed, which takes over 30 s at (8000, 4000).
+    if (0 <= dim <= n and dim * (n - dim) >= SUBSPACE_ENUM_GUARD.bit_length()) or (
+        gaussian_binomial(n, dim) > SUBSPACE_ENUM_GUARD
+    ):
+        raise GuardError(
+            f"the ({n},{dim}) subspaces outnumber the enumeration guard ({SUBSPACE_ENUM_GUARD})"
+        )
     dtype = np.int64 if n < 64 else object  # an int64 holds bits 0..62
     for pivots in combinations(range(n), dim):
         # Free slots: (row, col) with col past the row's pivot and not a pivot.
@@ -210,22 +220,6 @@ def subspace_blocks(n: int, dim: int) -> Iterator[np.ndarray]:
             for t, (i, j) in enumerate(slots):
                 block[i] |= ((fill >> t) & 1) << j
             yield block
-
-
-def enumerate_subspaces(n: int, dim: int) -> Iterator[BitMatrix]:
-    """Yield every dim-dimensional subspace of GF(2)^n once, as its RREF basis,
-    in `subspace_blocks` order."""
-    # [n choose dim]_2 ≥ 2^(dim·(n−dim)) refuses a huge shape before its count
-    # is computed, which takes over 30 s at (8000, 4000).
-    if (0 <= dim <= n and dim * (n - dim) >= SUBSPACE_ENUM_GUARD.bit_length()) or (
-        gaussian_binomial(n, dim) > SUBSPACE_ENUM_GUARD
-    ):
-        raise GuardError(
-            f"the ({n},{dim}) subspaces outnumber the enumeration guard ({SUBSPACE_ENUM_GUARD})"
-        )
-    for block in subspace_blocks(n, dim):  # n ≥ 64 passes the guard only at dim 0 or n
-        for rows in block.T.tolist():
-            yield BitMatrix(n, tuple(rows))
 
 
 def canonical_generator(m: BitMatrix) -> BitMatrix:

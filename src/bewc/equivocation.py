@@ -30,7 +30,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import gf2
-from .codes import CodeSpec, GuardError, derive_seed, gaussian_binomial, make_rng, subspace_blocks
+from .codes import (CodeSpec, GuardError, derive_seed, enumerate_subspaces, gaussian_binomial,
+                    make_rng)
 
 # Bounds the real cost of `rank_profile`: O(n·2^n) time in 2^15-entry blocks
 # whatever min(k, dim) is, 0.3 s at n = 24 and 6 s at n = 28 (2-vCPU VM).
@@ -268,19 +269,17 @@ def subcode_supports(code: CodeSpec) -> np.ndarray:
 
     D's 2^d words are listed once as uint64 rows, row x the sum of the basis
     words picked by the bits of x.  The j-dimensional subspaces of those
-    coordinates x come from `codes.subspace_blocks(d, j)`, one RREF basis per
-    column; U is the span of the words at its rows, and its support is the OR
-    of those words.
+    coordinates x come from `codes.enumerate_subspaces(d, j)`, inside its guard
+    at d ≤ 9 (`support_profile`'s budget), one RREF basis per column; U is the
+    span of the words at its rows, and its support is the OR of those words.
     """
     n = code.n
     words = gf2.pack(_smaller_row_space(code), 64 * ((n + 63) // 64)).view("<u8")
     d = min(code.k, code.dim)
     tally = np.zeros((d + 1, n + 1), dtype=np.int64)
     for j in range(d + 1):
-        for block in subspace_blocks(d, j):
-            support = np.zeros((block.shape[1], words.shape[1]), dtype=np.uint64)
-            for row in block:
-                support |= words[row]
+        for block in enumerate_subspaces(d, j):
+            support = np.bitwise_or.reduce(words[block], axis=0)  # 0 at j = 0
             weight = _POPCOUNT8[support.view(np.uint8)].sum(axis=1)
             tally[j] += np.bincount(weight, minlength=n + 1)
     return tally

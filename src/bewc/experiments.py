@@ -111,7 +111,7 @@ class SearchResult:
     n: int
     dim: int
     grid: tuple[float, ...]
-    generators: tuple[BitMatrix, ...]  # canonical RREF, one per subspace
+    generators: np.ndarray  # (num_codes, dim) int64 RREF rows, enumeration order; see generator
     rates: np.ndarray  # shape (num_codes, len(grid)), equivocation rates
     gaps: np.ndarray  # A_g per code
     argmax_per_eps: tuple[tuple[int, ...], ...]  # Python-int code indices, per grid point
@@ -120,6 +120,10 @@ class SearchResult:
     @property
     def count(self) -> int:
         return len(self.generators)
+
+    def generator(self, i: int) -> BitMatrix:
+        """Code i's canonical RREF generator as a BitMatrix."""
+        return BitMatrix(self.n, tuple(self.generators[i].tolist()))
 
 
 ARGMAX_TIE_TOL = 1e-12
@@ -150,9 +154,10 @@ def exhaustive_search(n: int, dim: int, grid: Sequence[float]) -> SearchResult:
 
     A rank profile depends on a code only through the multiset of its
     generator's columns: permuting columns permutes the revealed sets and
-    keeps |R| and rank(G_R).  So the search keys each code by its sorted
-    columns, groups the keys with one `np.unique` and profiles each class once
-    (from its first code) with an O(n·2^n) subset-sum transform.
+    keeps |R| and rank(G_R).  So the search stacks the enumerator's blocks
+    as one (count, dim) array of rows, keys each code by its sorted columns,
+    groups the keys with one `np.unique` and profiles each class once (from
+    its first code, through `from_generator`) with an O(n·2^n) transform.
     `equivocation_bits` evaluates the distinct profiles over the grid plus
     ε = R in one call, the arithmetic that `curve` and `achievability_gap` run
     for a single code; each code takes its class's row, and argmax and
@@ -162,18 +167,17 @@ def exhaustive_search(n: int, dim: int, grid: Sequence[float]) -> SearchResult:
     grid = tuple(grid)
     eq.check_grid(grid)
     k = n - dim
-    gens = tuple(codes.enumerate_subspaces(n, dim))
-    rows = np.array([g.rows for g in gens], dtype=np.int64)  # (count, dim)
+    rows = np.concatenate([block.T for block in codes.enumerate_subspaces(n, dim)])
     # Each code's columns as dim-bit uint16 words (the budget keeps n ≤ 13), sorted.
-    cols = np.zeros((len(gens), n), dtype=np.uint16)
+    cols = np.zeros((len(rows), n), dtype=np.uint16)
     for i, row in enumerate(rows.T.astype(np.uint16)):
         cols |= ((row[:, None] >> np.arange(n, dtype=np.uint16)) & 1) << i
     cols.sort(axis=1)
     # One byte-string key per code: dim·n reaches 156 bits, past any integer.
     keys = cols.view(np.dtype((np.void, cols.itemsize * n))).ravel()
     _, first, index = np.unique(keys, return_index=True, return_inverse=True)
-    coeffs = [eq.coefficients(eq.rank_profile(codes.from_generator(gens[i], name="search")))
-              for i in first]
+    coeffs = [eq.coefficients(eq.rank_profile(codes.from_generator(BitMatrix(n, g), "search")))
+              for g in map(tuple, rows[first].tolist())]
     bits = eq.equivocation_bits(coeffs, grid + (k / n,))[index]  # gap point appended
     bits /= n
     rates = bits[:, :-1]
@@ -187,7 +191,7 @@ def exhaustive_search(n: int, dim: int, grid: Sequence[float]) -> SearchResult:
         n=n,
         dim=dim,
         grid=grid,
-        generators=gens,
+        generators=rows,
         rates=rates,
         gaps=gaps,
         argmax_per_eps=argmax,

@@ -48,9 +48,10 @@ def all_observations(n: int) -> list[tuple[int, int]]:
 
 def reference_subspaces(n: int, dim: int) -> list[BitMatrix]:
     """Every dim-dimensional subspace of GF(2)^n as its RREF basis, in the
-    order `codes.enumerate_subspaces` yields them: pivot-column sets in
-    lexicographic order, then each set's fills of the free entries counted
-    up from 0, fill bit t setting free slot t (row-major)."""
+    order `codes.enumerate_subspaces` yields them across its blocks' columns:
+    pivot-column sets in lexicographic order, then each set's fills of the free
+    entries counted up from 0, fill bit t setting free slot t (row-major).  A
+    pure-Python loop, the reference for the enumerator's numpy blocks."""
     out = []
     for pivots in combinations(range(n), dim):
         pivset = set(pivots)
@@ -68,6 +69,13 @@ def reference_subspaces(n: int, dim: int) -> list[BitMatrix]:
                 f &= f - 1
             out.append(BitMatrix(n, tuple(rows)))
     return out
+
+
+def enumerated_bases(n: int, dim: int) -> list[BitMatrix]:
+    """The bases `codes.enumerate_subspaces(n, dim)` yields, one BitMatrix per
+    block column, in order."""
+    return [BitMatrix(n, tuple(rows)) for block in bewc.enumerate_subspaces(n, dim)
+            for rows in block.T.tolist()]
 
 
 def _check_mask(code: CodeSpec, mask: int) -> None:

@@ -134,7 +134,7 @@ def test_criterion_4_simplex_family_rows():
 
 def _family_index(res, family_code):
     canon = codes.canonical_generator(family_code.G)
-    return next(i for i, g in enumerate(res.generators) if g.rows == canon.rows)
+    return next(i for i in range(res.count) if res.generator(i).rows == canon.rows)
 
 
 def test_criterion_5_exhaustive_optimality(search74, search73):

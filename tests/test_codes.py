@@ -10,7 +10,8 @@ from bewc import codes, gf2
 from bewc.codes import CodeError, RandomCodeParams
 from bewc.gf2 import BitMatrix, pack, unpack
 
-from conftest import from_strings, identity, random_code, reference_subspaces
+from conftest import (enumerated_bases, from_strings, identity, random_code,
+                      reference_subspaces)
 
 
 def assert_valid(code):
@@ -199,7 +200,7 @@ def test_gaussian_binomial_7_choose_4():
 
 
 def test_enumerate_2_1():
-    subs = [m.row_strings() for m in codes.enumerate_subspaces(2, 1)]
+    subs = [m.row_strings() for m in enumerated_bases(2, 1)]
     assert sorted(tuple(s) for s in subs) == [("01",), ("10",), ("11",)]
 
 
@@ -207,7 +208,7 @@ def test_enumerate_2_1():
 def test_enumerate_counts_and_distinct_row_spaces(n, dim):
     spaces = set()
     count = 0
-    for m in codes.enumerate_subspaces(n, dim):
+    for m in enumerated_bases(n, dim):
         count += 1
         span = frozenset(_row_space(m))
         assert span not in spaces
@@ -220,7 +221,7 @@ def test_enumerate_counts_and_distinct_row_spaces(n, dim):
 @pytest.mark.parametrize("n, dim", [(n, d) for n in range(8) for d in range(n + 1)]
                          + [(8, 4), (9, 8)])
 def test_enumerate_matches_reference_order(n, dim):
-    assert list(codes.enumerate_subspaces(n, dim)) == reference_subspaces(n, dim)
+    assert enumerated_bases(n, dim) == reference_subspaces(n, dim)
 
 
 @pytest.mark.parametrize("block", [1, 3])
@@ -228,15 +229,15 @@ def test_enumerate_matches_reference_order(n, dim):
 def test_enumerate_order_across_block_edges(n, dim, block, monkeypatch):
     # Blocks that end inside a pivot set's fills must not reorder or drop any.
     monkeypatch.setattr(codes, "SUBSPACE_BLOCK", block)
-    assert list(codes.enumerate_subspaces(n, dim)) == reference_subspaces(n, dim)
+    assert enumerated_bases(n, dim) == reference_subspaces(n, dim)
 
 
 @pytest.mark.parametrize("n", [63, 64, 70])
 def test_enumerate_bases_past_int64(n):
     # Past 63 columns the guard admits only the empty basis and the identity,
     # whose pivot bits an int64 cannot hold.
-    assert list(codes.enumerate_subspaces(n, 0)) == [BitMatrix(n, ())]
-    assert list(codes.enumerate_subspaces(n, n)) == [identity(n)]
+    assert enumerated_bases(n, 0) == [BitMatrix(n, ())]
+    assert enumerated_bases(n, n) == [identity(n)]
 
 
 def _row_space(m):

@@ -447,6 +447,34 @@ def test_simplex_subcode_supports_closed_form(r):
         assert np.array_equal(eq.subcode_supports(code), want)
 
 
+def _simplex_rank_counts(r):
+    """N(µ, j) of simplex-r in closed form: a µ-set of its columns, the nonzero
+    vectors of GF(2)^r, has rank j when it spans one of the [r choose j]_2
+    j-dimensional subspaces V; Möbius inversion over the subspaces of V counts
+    the µ-sets of V's 2^j − 1 nonzero vectors that span V."""
+    gb = codes.gaussian_binomial
+    return [[gb(r, j) * sum((-1) ** (j - i) * (gb(j, i) << math.comb(j - i, 2))
+                            * math.comb((1 << i) - 1, mu) for i in range(j + 1))
+             for j in range(r + 1)] for mu in range(1 << r)]
+
+
+@pytest.mark.parametrize("r", range(2, 9))
+def test_support_profile_closed_form_families(r):
+    # The inversion in `support_profile`, checked without `subcode_supports`'
+    # table: hamming-r's profile is simplex-r's with µ ↦ n − µ and
+    # ρ = j + µ − r, since rank(G_S) = |S| − r + rank(H_S̄).
+    n = (1 << r) - 1
+    simplex = _simplex_rank_counts(r)
+    hamming = [[simplex[n - mu][rho + r - mu] if 0 <= rho + r - mu <= r else 0
+                for rho in range(n - r + 1)] for mu in range(n + 1)]
+    for code, want in ((bewc.simplex_base(r), simplex), (bewc.hamming_base(r), hamming)):
+        prof = eq.support_profile(code)
+        assert all(type(c) is int for c in prof.flat)
+        assert prof.tolist() == want
+        if r <= 4:
+            assert bewc.rank_profile(code).tolist() == want
+
+
 def _reference_subcode_supports(code):
     """A[j, w] by brute force: each j-dimensional subspace of D's coordinates,
     listed by `conftest.reference_subspaces`, spans a subcode of D (the smaller

@@ -4,7 +4,7 @@ import pytest
 import bewc
 from bewc import codes, coset, equivocation as eq, experiments, gf2
 
-from conftest import random_code
+from conftest import enumerated_bases, random_code, reference_subspaces
 
 
 # ---------------------------------------------------------------- sessions
@@ -144,8 +144,8 @@ def test_exhaustive_search_budget_admits_every_n8_shape():
 def test_exhaustive_search_matches_curve_and_gap_bit_for_bit():
     res = bewc.exhaustive_search(5, 2, eq.DEFAULT_GRID)
     assert res.count == 155
-    for i, g in enumerate(res.generators):
-        code = codes.from_generator(g)
+    for i in range(res.count):
+        code = codes.from_generator(res.generator(i))
         assert np.array_equal(res.rates[i], bewc.curve(code, eq.DEFAULT_GRID, "exact").rates())
         assert res.gaps[i] == bewc.achievability_gap(code, "exact").gap
 
@@ -157,8 +157,8 @@ def test_exhaustive_search_matches_per_code_profiles(n, dim):
     # every code gives, evaluated in one `equivocation_bits` call.
     grid = tuple(eq.DEFAULT_GRID)
     res = bewc.exhaustive_search(n, dim, grid)
-    coeffs = [eq.coefficients(eq.rank_profile(codes.from_generator(g)))
-              for g in res.generators]
+    coeffs = [eq.coefficients(eq.rank_profile(codes.from_generator(res.generator(i))))
+              for i in range(res.count)]
     bits = eq.equivocation_bits(coeffs, grid + ((n - dim) / n,)) / n
     rates, gaps = bits[:, :-1], (n - dim) / n - bits[:, -1]
     assert res.rates.tobytes() == rates.tobytes()
@@ -168,7 +168,17 @@ def test_exhaustive_search_matches_per_code_profiles(n, dim):
         tuple(np.flatnonzero(rates[:, j] >= tops[j] - experiments.ARGMAX_TIE_TOL))
         for j in range(len(grid)))
     assert res.ranking == tuple(
-        sorted(range(res.count), key=lambda i: (gaps[i], res.generators[i].rows)))
+        sorted(range(res.count), key=lambda i: (gaps[i], res.generator(i).rows)))
+
+
+@pytest.mark.parametrize("n, dim", [(5, 2), (7, 4), (9, 8)])
+def test_exhaustive_search_generators_are_enumeration_rows(n, dim):
+    res = bewc.exhaustive_search(n, dim, [0.5])
+    want = reference_subspaces(n, dim)
+    assert isinstance(res.generators, np.ndarray)
+    assert res.generators.dtype == np.int64 and res.generators.shape == (len(want), dim)
+    assert res.generators.tolist() == [list(g.rows) for g in want]
+    assert all(res.generator(i) == g for i, g in enumerate(want))
 
 
 def test_exhaustive_search_indices_are_python_ints():
@@ -181,7 +191,7 @@ def test_exhaustive_search_indices_are_python_ints():
 @pytest.mark.parametrize("n, dim, classes", [(7, 4, 816), (7, 3, 330)])
 def test_exhaustive_search_profiles_each_column_multiset_once(n, dim, classes, monkeypatch):
     assert classes == len({tuple(sorted(gf2.column_ints(g)))
-                           for g in codes.enumerate_subspaces(n, dim)})
+                           for g in enumerated_bases(n, dim)})
     calls = {"rank_profile": 0, "from_generator": 0}
 
     def counting(name, fn):
