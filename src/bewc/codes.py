@@ -140,16 +140,10 @@ def from_generator(rows: BitMatrix, name: str = "custom") -> CodeSpec:
 
 
 def _nonzero_column_matrix(r: int) -> BitMatrix:
-    """r×(2^r−1) matrix whose column j is the bits of integer j+1."""
+    """r×(2^r−1) matrix whose column j is the bits of integer j+1: the
+    transpose of the r-bit rows 1..2^r−1."""
     n = (1 << r) - 1
-    rows = []
-    for i in range(r):
-        w = 0
-        for j in range(n):
-            if ((j + 1) >> i) & 1:
-                w |= 1 << j
-        rows.append(w)
-    return BitMatrix(n, tuple(rows))
+    return BitMatrix(n, tuple(gf2.column_ints(BitMatrix(r, tuple(range(1, n + 1))))))
 
 
 def hamming_base(r: int) -> CodeSpec:

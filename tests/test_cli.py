@@ -395,6 +395,12 @@ def test_simulate_rejects_bad_eps_and_trials(flags, message, capsys):
       "--reference-r", "3", "--reference-file", "/nonexistent"],
      "error: specify exactly one reference source: "
      "--reference-family/--reference-r or --reference-file\n"),
+    (["gap", "--family", "hamming"], "error: --family requires --r\n"),
+    (["gap", "--random", "--n", "7", "--dim", "4"],
+     "error: --random requires --n, --dim, and --alpha\n"),
+    (["ensemble", "--n", "7", "--dim", "4", "--alpha", "0.5", "--codes", "0",
+      "--reference-family", "hamming", "--reference-r", "3"],
+     "error: num_codes must be positive\n"),
 ])
 def test_bad_arguments_give_one_line(argv, message, capsys):
     rc, stdout, stderr = run(argv, capsys)

@@ -197,6 +197,7 @@ def test_from_generator_single_row():
 def test_gaussian_binomial_7_choose_4():
     assert codes.gaussian_binomial(7, 4) == 11811
     assert codes.gaussian_binomial(7, 3) == 11811
+    assert codes.gaussian_binomial(3, 5) == codes.gaussian_binomial(3, -1) == 0
 
 
 def test_enumerate_2_1():
@@ -298,6 +299,10 @@ def test_parse_rejects_malformed():
         codes.parse('{"name": "x"}')
     with pytest.raises(CodeError):
         codes.parse('{"name": "x", "n": 4, "dim": 1, "generator_rows": ["111"]}')
+    with pytest.raises(CodeError, match="JSON object"):
+        codes.parse("[1, 2]")
+    with pytest.raises(CodeError, match="not a bit string"):
+        codes.parse('{"name": "x", "n": 4, "dim": 1, "generator_rows": ["1020"]}')
 
 
 def test_parse_rejects_integer_rows():

@@ -412,6 +412,13 @@ EXACT_PINS = {  # id: (code, curve SHA-256, gap.hex())
     "random-18-3": (lambda: random_code(18, 3, seed=2),
                     "fbf67429222e558ba01abdc7eb8bcb9976dfee1015705326b7203921144fdfe3",
                     "0x1.b10b3b4fc80b0p-5"),
+    # n = 200 runs on `support_profile`, whose subcodes spread over 89 support sizes.
+    "random-200-6": (lambda: random_code(200, 6, seed=1),
+                     "94778e10d72fd84c3dc6e40ca33f650b14d651e5288b21f00b4cd14cc4595e48",
+                     "0x1.b1fc7325b7800p-8"),
+    "random-200-6-dual": (lambda: _dual(random_code(200, 6, seed=1)),
+                          "b5d1aa487b47f4c2973704c7b0a11fd070664f0007d54121ed4744772ae6d577",
+                          "0x1.b1fc7325b783cp-8"),
 }
 
 
@@ -511,16 +518,19 @@ def test_subcode_supports_match_reference_subcodes(n, dim, seed, block, monkeypa
     assert np.array_equal(eq.subcode_supports(code), _reference_subcode_supports(code))
 
 
-@pytest.mark.parametrize("make", [lambda: bewc.hamming_base(8), lambda: bewc.simplex_base(8)],
-                         ids=["hamming-8", "simplex-8"])
+@pytest.mark.parametrize("make", [lambda: bewc.hamming_base(8), lambda: bewc.simplex_base(8),
+                                  lambda: random_code(200, 6, seed=1)],
+                         ids=["hamming-8", "simplex-8", "random-200-6"])
 def test_support_profile_rows_sum_to_binomials_past_int64(make):
-    # Hamming-8 is relabelled on the H side, simplex-8 on the G side; every
-    # revealed set is counted once, in exact Python ints.
+    # Hamming-8 is relabelled on the H side, simplex-8 and random (200,6), whose
+    # subcodes have 89 distinct support sizes, on the G side; every revealed
+    # set is counted once, in exact Python ints.
     code = make()
     prof = eq.support_profile(code)
     assert all(type(c) is int for c in prof.flat)
-    assert [sum(row) for row in prof.tolist()] == [math.comb(255, mu) for mu in range(256)]
-    assert prof.sum() == 1 << 255
+    assert [sum(row) for row in prof.tolist()] == [math.comb(code.n, mu)
+                                                   for mu in range(code.n + 1)]
+    assert prof.sum() == 1 << code.n
 
 
 @pytest.mark.parametrize("make", [

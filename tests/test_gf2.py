@@ -165,6 +165,15 @@ def test_vec_mat_mul_refuses_a_set_padding_bit(nrows):
             gf2.vec_mat_mul(pack([0, 1 << bit], 8 * v.shape[1]), m)
 
 
+def test_bitmatrix_and_mul_transpose_refuse_bad_widths():
+    with pytest.raises(ValueError, match="nonnegative"):
+        BitMatrix(-1, ())
+    with pytest.raises(ValueError, match="beyond cols"):
+        BitMatrix(3, (8,))
+    with pytest.raises(gf2.DimensionError, match="widths disagree"):
+        gf2.mul_transpose(BitMatrix(3, (1,)), BitMatrix(4, (1,)))
+
+
 # ---------------------------------------------------------------- bit formats
 
 @pytest.mark.parametrize("s", ["1_0", " 10", "+10", "10\n", "١٠"])
