@@ -97,7 +97,7 @@ def _grid(args, point_bytes: int) -> list[float]:
 def _config_echo(args) -> dict:
     # threads and output location cannot affect results, so they stay out of
     # the echo; that keeps output files byte-identical across thread counts.
-    skip = {"func", "threads", "output"}
+    skip = {"func", "threads", "pool", "output"}
     return {k: v for k, v in sorted(vars(args).items()) if k not in skip}
 
 
@@ -178,7 +178,7 @@ def cmd_curve(args) -> int:
     code = _resolve_code(args)
     tables = 16 * (code.n + 1) if eq.resolve_method(args.method, code) == "exact" else 0
     grid = _grid(args, POINT_BYTES + tables)  # tables: equivocation_bits' powers of ε
-    cv = eq.curve(code, grid, method=args.method, trials=args.trials, seed=args.seed)
+    cv = eq.curve(code, grid, args.method, args.trials, args.seed, pool=args.pool)
     if args.format == "json":
         _json(args, code=cv.code_name, method=cv.method, points=[asdict(p) for p in cv.points])
     else:
@@ -195,7 +195,7 @@ def cmd_curve(args) -> int:
 
 def cmd_gap(args) -> int:
     code = _resolve_code(args)
-    rep = eq.achievability_gap(code, method=args.method, trials=args.trials, seed=args.seed)
+    rep = eq.achievability_gap(code, args.method, args.trials, args.seed, pool=args.pool)
     estimate = {} if rep.estimate is None else {"estimate": asdict(rep.estimate)}
     _json(args, code=rep.code_name, R=rep.rate, equivocation_rate_at_R=rep.equivocation_rate_at_r,
           Ag=rep.gap, method=rep.method, **estimate)
@@ -204,9 +204,8 @@ def cmd_gap(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    reports = experiments.family_sweep(
-        args.family, args.rs, method=args.method, trials=args.trials, seed=args.seed
-    )
+    reports = experiments.family_sweep(args.family, args.rs, args.method, args.trials,
+                                       args.seed, pool=args.pool)
     rows = [{"blocklength": (1 << r) - 1, "R": rep.rate, "Ag": rep.gap, "method": rep.method}
             for r, rep in zip(args.rs, reports)]
     for row in rows:
@@ -256,6 +255,7 @@ def cmd_ensemble(args) -> int:
         trials=args.trials,
         seed=args.seed,
         reference=reference,
+        pool=args.pool,
     )
     ref_rates = rep.reference_curve.rates()
     points = [
@@ -300,7 +300,9 @@ def build_parser() -> _Parser:
     def common(sp, grid=False, mc=True):
         sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
         sp.add_argument("--threads", type=int, default=1,
-                        help="accepted and ignored; results do not depend on it")
+                        help="threads that draw and score Monte Carlo trials, at most the "
+                        "CPU count; results do not depend on it (exact methods, search and "
+                        "simulate run on one thread)")
         sp.add_argument("-o", "--output", help="output file (relative paths land in "
                         f"${OUTPUT_DIR_ENV} when set)")
         sp.add_argument("--format", choices=["csv", "json"], default="csv",
@@ -368,7 +370,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        if args.threads < 1:
+            raise UsageError(f"--threads must be at least 1, got {args.threads}")
+        with eq.ThreadPool(args.threads) as args.pool:
+            return args.func(args)
     except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

@@ -24,6 +24,7 @@ budgets, an unbiased Monte Carlo estimator samples patterns.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -37,6 +38,11 @@ from .codes import (CodeSpec, GuardError, derive_seed, enumerate_subspaces, gaus
 # whatever min(k, dim) is, 0.3 s at n = 24 and 6 s at n = 28 (2-vCPU VM).
 RANK_PROFILE_GUARD_N = 28
 MC_BATCH = 1 << 14
+# Words (trials·n) a point must draw before `mc_equivocation` cuts it into
+# slices for a pool.  Two slices against one, per point at n = 15..127
+# (2-vCPU VM): 2^16 words 1.2–1.4x slower, 2^17 0.93–1.06x, 2^18 0.68–0.86x;
+# the threads overlap only the Philox draw, which releases the GIL.
+MC_SLICE_WORDS = 1 << 18
 # Float64 entries in `equivocation_bits`' scratch block (2 MB), so its memory
 # beyond the (codes, grid) result stays fixed however many codes it sums.
 EVAL_BLOCK_ENTRIES = 1 << 18
@@ -77,13 +83,15 @@ def _row_weights(packed: np.ndarray) -> np.ndarray:
 
 def pack_erasures(words: np.ndarray, eps: float) -> np.ndarray:
     """Erased masks, packed as `gf2.pack` packs, from an (N, n) array of raw
-    Philox words, which it overwrites: position i is erased when the double
+    Philox words, left as they are: position i is erased when the double
     (word >> 11)·2^−53 that `Generator.random` makes of word i is below ε,
-    that is when word >> 11 is below ⌈ε·2^53⌉, for every ε in [0, 1]."""
+    that is when the word is below L = ⌈ε·2^53⌉·2^11, for every ε in [0, 1]
+    (L = 2^64 at ε = 1 erases every position, L = 0 none)."""
     size, n = words.shape
-    words >>= np.uint64(11)
+    limit = math.ceil(eps * 2**53) << 11
     erased = np.zeros((size, 8 * ((n + 7) // 8)), dtype=bool)
-    np.less(words, np.uint64(math.ceil(eps * 2**53)), out=erased[:, :n])
+    if limit:
+        np.less_equal(words, np.uint64(limit - 1), out=erased[:, :n])
     return np.packbits(erased, bitorder="little").reshape(size, -1)
 
 
@@ -400,38 +408,72 @@ def check_grid(grid: Sequence[float]) -> None:
         raise ValueError("grid must be strictly increasing")
 
 
-def mc_equivocation(code: CodeSpec, eps: float, trials: int, seed: int) -> McEstimate:
+class ThreadPool:
+    """min(threads, os.cpu_count()) − 1 worker threads for `mc_equivocation`'s
+    slices.  The threads start with the first slice submitted, so a run that
+    samples nothing starts none, and stop on leaving the `with`."""
+
+    def __init__(self, threads: int):
+        self.workers, self._executor = min(threads, os.cpu_count() or 1) - 1, None
+
+    def __enter__(self) -> "ThreadPool":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        if self._executor is not None:
+            self._executor.shutdown()
+
+    def submit(self, fn, *args):
+        if self._executor is None:
+            from concurrent.futures import ThreadPoolExecutor  # 10 ms, kept out of `import bewc`
+            self._executor = ThreadPoolExecutor(self.workers)
+        return self._executor.submit(fn, *args)
+
+
+def _slice_sums(ent: PatternEntropy, eps: float, seed: int, lo: int, hi: int) -> tuple[int, int]:
+    """(Σh, Σh²) over trials [lo, hi) of a point, lo a multiple of 4: the rows
+    of each batch in the range, drawn from that batch's stream advanced past
+    its rows before lo (`Philox.advance(m)` skips 4m words)."""
+    s = ss = 0
+    for bindex in range(lo // MC_BATCH, -(-hi // MC_BATCH)):
+        start = max(lo - bindex * MC_BATCH, 0)
+        stop = min(hi - bindex * MC_BATCH, MC_BATCH)
+        bits = make_rng(seed, bindex).bit_generator
+        bits.advance(start * ent.n // 4)
+        h = ent(pack_erasures(bits.random_raw((stop - start, ent.n)), eps))
+        s += int(h.sum())
+        ss += int(h @ h)
+    return s, ss
+
+
+def mc_equivocation(code: CodeSpec, eps: float, trials: int, seed: int,
+                    pool: Optional[ThreadPool] = None,
+                    ent: Optional[PatternEntropy] = None) -> McEstimate:
     """Unbiased Monte Carlo estimate of H(M|Z) at erasure probability ε.
 
     Each trial samples an erasure pattern (each position erased w.p. ε) and
-    scores the integer per-pattern entropy; sums are accumulated in exact
-    integer arithmetic, so the result is independent of batching order.
-    Batch b, of MC_BATCH trials, draws from its own counter-derived stream, so
-    any worker layout reproduces the same estimate bit for bit; another batch
-    size would regroup the streams and change every estimate.
+    scores its integer entropy with `ent`, the code's `PatternEntropy` (built
+    here if not given).  Batch b, of MC_BATCH trials, draws from its own
+    counter-derived stream; another batch size would change every estimate.
+    With a `pool` and at least MC_SLICE_WORDS words to draw, the trials are
+    cut at multiples of 4 into one slice per thread, the calling thread's
+    first.  A slice draws the words the serial loop gives its rows, from each
+    batch's stream advanced past the rows before it (`_slice_sums`), and
+    returns exact integer sums, so the estimate is bit-identical on any pool.
     """
     check_mc_args(eps, trials)
-    ent = PatternEntropy(code)
-    s = ss = 0
-    for bindex, start in enumerate(range(0, trials, MC_BATCH)):
-        size = min(MC_BATCH, trials - start)
-        words = make_rng(seed, bindex).bit_generator.random_raw((size, code.n))
-        h = ent(pack_erasures(words, eps))
-        s += int(h.sum())
-        ss += int(h @ h)
+    ent = PatternEntropy(code) if ent is None else ent
+    parts = 1 if pool is None or trials * code.n < MC_SLICE_WORDS else pool.workers + 1
+    cuts = [trials * i // parts // 4 * 4 for i in range(parts)] + [trials]
+    units = [(lo, hi) for lo, hi in zip(cuts, cuts[1:]) if lo < hi]
+    futures = [pool.submit(_slice_sums, ent, eps, seed, lo, hi) for lo, hi in units[1:]]
+    s, ss = map(sum, zip(_slice_sums(ent, eps, seed, *units[0]), *[f.result() for f in futures]))
     mean = s / trials
     var = (trials * ss - s * s) / (trials * (trials - 1))
     stddev = math.sqrt(max(var, 0.0))
     stderr = stddev / math.sqrt(trials)
-    return McEstimate(
-        mean=mean,
-        trials=trials,
-        stddev=stddev,
-        stderr=stderr,
-        ci95_lo=mean - CI95 * stderr,
-        ci95_hi=mean + CI95 * stderr,
-        seed=seed,
-    )
+    return McEstimate(mean=mean, trials=trials, stddev=stddev, stderr=stderr,
+                      ci95_lo=mean - CI95 * stderr, ci95_hi=mean + CI95 * stderr, seed=seed)
 
 
 @dataclass(frozen=True)
@@ -485,6 +527,7 @@ def curve(
     trials: int = DEFAULT_MC_TRIALS,
     seed: int = 0,
     profile: Optional[np.ndarray] = None,
+    pool: Optional[ThreadPool] = None,
 ) -> EquivocationCurve:
     """Equivocation at each ε of a strictly increasing grid in [0, 1]."""
     grid = list(grid)
@@ -497,19 +540,11 @@ def curve(
         bits = equivocation_bits([coefficients(profile)], grid)[0].tolist()
         points = [CurvePoint(eps=eps, bits=b, rate=b / n) for eps, b in zip(grid, bits)]
     else:
-        points = []
+        points, ent = [], PatternEntropy(code)
         for i, eps in enumerate(grid):
-            est = mc_equivocation(code, eps, trials, derive_seed(seed, "curve", i))
-            points.append(
-                CurvePoint(
-                    eps=eps,
-                    bits=est.mean,
-                    rate=est.mean / n,
-                    stderr=est.stderr,
-                    ci95_lo=est.ci95_lo,
-                    ci95_hi=est.ci95_hi,
-                )
-            )
+            est = mc_equivocation(code, eps, trials, derive_seed(seed, "curve", i), pool, ent)
+            points.append(CurvePoint(eps=eps, bits=est.mean, rate=est.mean / n, stderr=est.stderr,
+                                     ci95_lo=est.ci95_lo, ci95_hi=est.ci95_hi))
     return EquivocationCurve(code_name=code.name, method=method, points=tuple(points))
 
 
@@ -519,6 +554,7 @@ def achievability_gap(
     trials: int = DEFAULT_MC_TRIALS,
     seed: int = 0,
     profile: Optional[np.ndarray] = None,
+    pool: Optional[ThreadPool] = None,
 ) -> GapReport:
     """A_g = R − equivocation rate at ε = R: distance from the asymptotic
     optimum, since secrecy capacity equals ε for this channel."""
@@ -530,7 +566,7 @@ def achievability_gap(
             profile = _exact_profile(code)
         bits = exact_equivocation(profile, r)
     else:
-        estimate = mc_equivocation(code, r, trials, seed)
+        estimate = mc_equivocation(code, r, trials, seed, pool)
         bits = estimate.mean
     eq_rate = bits / code.n
     return GapReport(

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -223,6 +223,7 @@ def ensemble_study(
     trials: int,
     seed: int,
     reference: CodeSpec,
+    pool: Optional[eq.ThreadPool] = None,
 ) -> EnsembleReport:
     """Monte Carlo curves for num_codes random bases plus a reference code."""
     if num_codes < 1:
@@ -234,11 +235,9 @@ def ensemble_study(
             RandomCodeParams(n=n, dim=dim, alpha=alpha, seed=derive_seed(seed, "code", i))
         )
         members.append(
-            eq.curve(c, grid, method="mc", trials=trials, seed=derive_seed(seed, "mc", i))
+            eq.curve(c, grid, "mc", trials, derive_seed(seed, "mc", i), pool=pool)
         )
-    ref_curve = eq.curve(
-        reference, grid, method="mc", trials=trials, seed=derive_seed(seed, "ref")
-    )
+    ref_curve = eq.curve(reference, grid, "mc", trials, derive_seed(seed, "ref"), pool=pool)
     rates = np.array([cv.rates() for cv in members])  # (num_codes, grid)
     mean = rates.mean(axis=0)
     if num_codes > 1:
@@ -269,6 +268,7 @@ def family_sweep(
     method: str = "auto",
     trials: int = eq.DEFAULT_MC_TRIALS,
     seed: int = 0,
+    pool: Optional[eq.ThreadPool] = None,
 ) -> list[GapReport]:
     """Achievability gap per blocklength for a Hamming or simplex family."""
     if family not in FAMILY_BUILDERS:
@@ -277,8 +277,7 @@ def family_sweep(
     reports = []
     for i, r in enumerate(rs):
         reports.append(
-            eq.achievability_gap(
-                build(r), method=method, trials=trials, seed=derive_seed(seed, "sweep", i)
-            )
+            eq.achievability_gap(build(r), method, trials, derive_seed(seed, "sweep", i),
+                                 pool=pool)
         )
     return reports

@@ -1,4 +1,5 @@
 import math
+import os
 from fractions import Fraction
 from itertools import combinations
 
@@ -111,6 +112,16 @@ def observation_equivocation_oracle(
     counts = ((book.cosets & mask) == word).sum(axis=1).tolist()
     total = sum(counts)
     return -sum((c / total) * math.log2(c / total) for c in counts if c)
+
+
+@pytest.fixture(params=[1, 2, 3])
+def pool(request, monkeypatch):
+    """An `equivocation.ThreadPool` of 1, 2 and 3 threads, with T − 1 real
+    worker threads whatever the host's CPU count."""
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    with bewc.equivocation.ThreadPool(request.param) as p:
+        assert p.workers == request.param - 1
+        yield p
 
 
 @pytest.fixture

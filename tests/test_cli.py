@@ -1,9 +1,15 @@
 import argparse
+import concurrent.futures
+import functools
+import importlib
+import importlib.util
 import io
 import json
 import os
+import threading
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -12,6 +18,8 @@ from hypothesis import given, settings, strategies as st
 
 import bewc
 from bewc import cli, codes, experiments
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 def run(args, capsys):
@@ -324,6 +332,90 @@ def test_mc_outputs_byte_identical(tmp_path, capsys):
     assert a.read_bytes() == b.read_bytes()
 
 
+class _StandInExecutor:
+    """Records each executor the CLI makes and runs its units at once, on the
+    calling thread, so no thread starts."""
+
+    made: list = []
+
+    def __init__(self, max_workers):
+        self.made.append(max_workers)
+
+    def submit(self, fn, *args):
+        future = concurrent.futures.Future()
+        future.set_result(fn(*args))
+        return future
+
+    def shutdown(self):
+        self.made.append("shutdown")
+
+
+@pytest.fixture
+def stand_in_executor(monkeypatch):
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", _StandInExecutor)
+    monkeypatch.setattr(_StandInExecutor, "made", [])
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    return _StandInExecutor.made
+
+
+def test_threads_are_capped_at_the_cpu_count(stand_in_executor, capsys):
+    args = ["gap", "--family", "hamming", "--r", "5", "--method", "mc", "--trials", "20000"]
+    serial = run(args + ["--threads", "1"], capsys)
+    assert stand_in_executor == []
+    assert run(args + ["--threads", "1000000"], capsys) == serial
+    assert stand_in_executor == [2, "shutdown"]  # min(10^6, 3 CPUs) − 1 workers
+
+
+@pytest.mark.parametrize("argv", [
+    ["curve", "--family", "hamming", "--r", "5", "--method", "exact", "--grid", "3"],
+    ["gap", "--family", "simplex", "--r", "6"],
+    ["sweep", "--family", "hamming", "--rs", "3", "5", "--trials", "20000"],
+    ["search", "--n", "5", "--dim", "2"],
+    ["simulate", "--family", "hamming", "--r", "5", "--eps", "0.3", "--trials", "20000"],
+    ["code", "show", "--family", "hamming", "--r", "3"],
+])
+def test_exact_search_and_simulate_open_no_pool(argv, stand_in_executor, tmp_path, capsys):
+    assert run(argv + ["--threads", "3", "-o", str(tmp_path / "out")], capsys)[0] == 0
+    assert stand_in_executor == []
+
+
+def test_traced_layers_run_on_the_calling_thread(tmp_path, capsys, monkeypatch):
+    # perfbench's tracer keeps one span stack and counts calls without a lock,
+    # so no function it wraps may run on a pool's worker; the workers only draw
+    # and score slices of `mc_equivocation`.
+    spec = importlib.util.spec_from_file_location("tracing", REPO / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    threads = {}
+
+    def recording(name, fn):
+        @functools.wraps(fn)
+        def wrapper(*args, **kwargs):
+            threads.setdefault(name, set()).add(threading.get_ident())
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in [*tracing.LAYERS, "equivocation._slice_sums"]:
+        module = importlib.import_module(f"bewc.{name.split('.')[0]}")
+        attr = name.split(".")[1]
+        monkeypatch.setattr(module, attr, recording(name, getattr(module, attr)))
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    mc = ["--method", "mc", "--trials", "10000"]
+    for argv in (["sweep", "--family", "hamming", "--rs", "5", *mc],
+                 ["gap", "--family", "simplex", "--r", "5", *mc],
+                 # min(k, dim) = 20: each pattern is eliminated on its own.
+                 ["gap", "--random", "--n", "40", "--dim", "20", "--alpha", "0.5", *mc],
+                 ["curve", "--family", "hamming", "--r", "5", "--eps", "0.2", "0.6", *mc],
+                 ["ensemble", "--n", "31", "--dim", "26", "--alpha", "0.5", "--codes", "2",
+                  "--reference-family", "hamming", "--reference-r", "5", "--eps", "0.3",
+                  "--trials", "10000"]):
+        assert run(argv + ["--threads", "3", "-o", str(tmp_path / "out")], capsys)[0] == 0
+    assert len(threads.pop("equivocation._slice_sums")) == 3  # the caller and two workers
+    assert {"cli.main", "experiments.family_sweep", "experiments.ensemble_study",
+            "equivocation.mc_equivocation", "equivocation.curve"} <= set(threads)
+    assert all(ids == {threading.get_ident()} for ids in threads.values()), threads
+
+
 def test_output_dir_env(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv(cli.OUTPUT_DIR_ENV, str(tmp_path))
     rc, _, _ = run(["gap", "--family", "hamming", "--r", "3", "--method", "exact",
@@ -401,6 +493,10 @@ def test_simulate_rejects_bad_eps_and_trials(flags, message, capsys):
     (["ensemble", "--n", "7", "--dim", "4", "--alpha", "0.5", "--codes", "0",
       "--reference-family", "hamming", "--reference-r", "3"],
      "error: num_codes must be positive\n"),
+    (["gap", "--family", "hamming", "--r", "3", "--threads", "0"],
+     "error: --threads must be at least 1, got 0\n"),
+    (["search", "--n", "4", "--dim", "2", "--threads", "-2"],
+     "error: --threads must be at least 1, got -2\n"),
 ])
 def test_bad_arguments_give_one_line(argv, message, capsys):
     rc, stdout, stderr = run(argv, capsys)
@@ -512,7 +608,7 @@ def _opts(draw, files, command):
     method = [("--method", st.sampled_from(["exact", "mc", "auto"]), ["fast"], False)]
     trials = [("--trials", _ints(2, 200), ["0", "1", "-5", "nan", "1e3"], True)]
     common = [("--seed", st.integers(-2**70, 2**70).map(str), ["zzz", "nan"], False),
-              ("--threads", _ints(-2, 4), ["zzz"], False),
+              ("--threads", _ints(1, 4), ["zzz", "0", "-2"], False),
               ("-o", st.sampled_from(["out.csv", "sub/out.json"]), ["", "."], False),
               ("--format", st.sampled_from(["csv", "json"]), ["xml"], False)]
     n = draw(st.integers(2, 10))

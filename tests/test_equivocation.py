@@ -1,6 +1,8 @@
 import hashlib
 import itertools
 import math
+import os
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -672,7 +674,99 @@ def test_mc_estimates_pinned(case):
     assert (est.mean.hex(), est.stddev.hex()) == (mean_hex, stddev_hex)
 
 
+@pytest.mark.parametrize("case", MC_PINS)
+def test_mc_estimates_pinned_on_any_pool(case, pool):
+    make, eps, seed, mean_hex, stddev_hex = MC_PINS[case]
+    code = make()
+    est = bewc.mc_equivocation(code, code.rate if eps is None else eps, 40000, seed, pool)
+    assert (est.mean.hex(), est.stddev.hex()) == (mean_hex, stddev_hex)
+
+
+SLICE_CODES = {16: lambda: random_code(16, 8, seed=2), 31: lambda: bewc.hamming_base(5),
+               127: lambda: bewc.simplex_base(7)}
+
+
+@pytest.mark.parametrize("n", SLICE_CODES)
+def test_slices_sum_the_rows_of_the_serial_batches(n):
+    # A slice [lo, hi), lo a multiple of 4, inside one batch or across batch
+    # edges, sums exactly the entropies of the rows the serial loop draws there.
+    code, eps, seed, trials = SLICE_CODES[n](), 0.3, 9, 40002
+    ent = PatternEntropy(code)
+    h = np.concatenate([
+        ent(eq.pack_erasures(codes.make_rng(seed, b).bit_generator.random_raw(
+            (min(eq.MC_BATCH, trials - start), n)), eps))
+        for b, start in enumerate(range(0, trials, eq.MC_BATCH))])
+    batch = eq.MC_BATCH
+    for lo, hi in [(0, trials), (4, 8), (8, 13), (batch - 4, batch + 4), (batch, 2 * batch),
+                   (20000, trials), (39996, 40001), (40000, trials)]:
+        assert eq._slice_sums(ent, eps, seed, lo, hi) == (int(h[lo:hi].sum()),
+                                                          int(h[lo:hi] @ h[lo:hi])), (lo, hi)
+
+
+@pytest.mark.parametrize("n", SLICE_CODES)
+def test_mc_estimate_is_the_same_on_any_pool(n, pool, monkeypatch):
+    # Every point is cut here, however few its trials: 2 and 5 trials, and
+    # batches of 7,232 and 7,234 rows past two full ones, are no multiple of 4·T.
+    monkeypatch.setattr(eq, "MC_SLICE_WORDS", 0)
+    code = SLICE_CODES[n]()
+    for trials in (2, 5, 40000, 40002):
+        for eps in (0.0, 0.3, 1.0):
+            want = bewc.mc_equivocation(code, eps, trials, seed=6)
+            assert bewc.mc_equivocation(code, eps, trials, 6, pool) == want, (trials, eps)
+
+
+def test_mc_estimate_survives_more_threads_than_cores(monkeypatch):
+    # Seven workers share one kernel and switch every microsecond; a slice
+    # lost, repeated or mixed with another changes the exact sums.
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    code = bewc.hamming_base(5)
+    want = [bewc.mc_equivocation(code, eps, 40000, seed=2) for eps in (0.1, 0.5)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with eq.ThreadPool(8) as pool:
+            assert [bewc.mc_equivocation(code, eps, 40000, 2, pool) for eps in (0.1, 0.5)] == want
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_pack_erasures_leaves_the_words_untouched():
+    words = codes.make_rng(3).bit_generator.random_raw((50, 31))
+    kept = words.copy()
+    for eps in (0.0, 0.3, 1.0):
+        eq.pack_erasures(words, eps)
+        assert np.array_equal(words, kept), eps
+
+
 # ---------------------------------------------------------------- curves and gaps
+
+def test_mc_curve_gap_and_sweep_are_the_same_on_any_pool(pool):
+    # 10^4 trials at n = 31 is past MC_SLICE_WORDS, so each point is cut.
+    code, grid = bewc.simplex_base(5), [0.1, 0.5, 0.9]
+    assert (bewc.curve(code, grid, "mc", 10**4, 3, pool=pool)
+            == bewc.curve(code, grid, "mc", 10**4, 3))
+    assert (bewc.achievability_gap(code, "mc", 10**4, 4, pool=pool)
+            == bewc.achievability_gap(code, "mc", 10**4, 4))
+    assert (bewc.family_sweep("hamming", [5, 6], "mc", 10**4, 5, pool=pool)
+            == bewc.family_sweep("hamming", [5, 6], "mc", 10**4, 5))
+
+
+def test_mc_curve_builds_one_kernel(monkeypatch):
+    built = []
+
+    class Counted(PatternEntropy):
+        def __init__(self, code):
+            built.append(code.name)
+            super().__init__(code)
+
+    monkeypatch.setattr(eq, "PatternEntropy", Counted)
+    cv = bewc.curve(bewc.hamming_base(4), [0.2, 0.5, 0.8], method="mc", trials=100, seed=1)
+    assert len(cv.points) == 3 and built == ["hamming-4"]
+    built.clear()
+    bewc.ensemble_study(7, 4, 0.5, num_codes=2, grid=[0.2, 0.5, 0.8], trials=100, seed=1,
+                        reference=bewc.hamming_base(3))
+    assert len(built) == 3  # one per member and one for the reference
+
 
 def test_curve_trivial_grid(ex1):
     cv = bewc.curve(ex1, [0.0, 1.0], method="exact")

@@ -241,6 +241,16 @@ def test_ensemble_deterministic():
     assert a.member_curves == b.member_curves
 
 
+def test_ensemble_is_the_same_on_any_pool(pool):
+    # 10^4 trials at n = 31 is past MC_SLICE_WORDS, so each point is cut.
+    kw = dict(n=31, dim=26, alpha=0.5, num_codes=2, grid=[0.2, 0.6], trials=10**4, seed=5,
+              reference=bewc.hamming_base(5))
+    a, b = bewc.ensemble_study(**kw), bewc.ensemble_study(**kw, pool=pool)
+    assert a.member_curves == b.member_curves and a.reference_curve == b.reference_curve
+    for field in ("mean_rates", "best_rates", "worst_rates", "ci95_halfwidth"):
+        assert np.array_equal(getattr(a, field), getattr(b, field)), field
+
+
 # ---------------------------------------------------------------- sweeps
 
 def test_family_sweep_exact_small():

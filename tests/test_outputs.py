@@ -78,6 +78,18 @@ def test_cli_outputs_pinned(name, fmt, tmp_path):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == OUTPUT_PINS[name, fmt]
 
 
+@pytest.mark.parametrize("threads", ["2", "3"])
+@pytest.mark.parametrize("name, fmt", sorted(OUTPUT_PINS))
+def test_cli_outputs_pinned_at_any_thread_count(name, fmt, threads, tmp_path, monkeypatch):
+    # Every Monte Carlo point is cut into slices here, however few its trials.
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(eq, "MC_SLICE_WORDS", 0)
+    out = tmp_path / f"{name}.{fmt}"
+    assert cli.main(PIN_COMMANDS[name] + ["--format", fmt, "-o", str(out),
+                                          "--threads", threads]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == OUTPUT_PINS[name, fmt]
+
+
 def _run_script(name, *args, cwd, env):
     subprocess.run([sys.executable, str(REPO / "scripts" / name), *args],
                    cwd=cwd, env=env, check=True, capture_output=True)
