@@ -23,7 +23,8 @@ from .gf2 import BitMatrix
 
 SUBSPACE_ENUM_GUARD = 10**7
 # Bases per `enumerate_subspaces` array: one pivot set can have 2^23 fills.  It also
-# bounds `subcode_supports`' scratch per 64 positions: 32 KB a gathered row, 256 KB of popcounts.
+# bounds `subcode_supports`' scratch: a gathered (4096, W) uint64 row, 32 KB per 64
+# positions, and its popcounts, one (4096, W) uint8 block.
 SUBSPACE_BLOCK = 4096
 # Each `random_base` attempt draws a (dim, n) generator and ranks it.  A draw
 # that is dependent again and again is sparse, and costs 14–22 ns per entry

@@ -43,9 +43,6 @@ MC_BATCH = 1 << 14
 # (2-vCPU VM): 2^16 words 1.2–1.4x slower, 2^17 0.93–1.06x, 2^18 0.68–0.86x;
 # the threads overlap only the Philox draw, which releases the GIL.
 MC_SLICE_WORDS = 1 << 18
-# Float64 entries in `equivocation_bits`' scratch block (2 MB), so its memory
-# beyond the (codes, grid) result stays fixed however many codes it sums.
-EVAL_BLOCK_ENTRIES = 1 << 18
 CI95 = 1.96
 
 
@@ -59,26 +56,11 @@ SPAN_MAX_DIM = 13
 # uint64 words in the kernel's accumulator and in each gathered table slice
 # (2 MB each), so its scratch stays fixed however many patterns a batch holds.
 KERNEL_BLOCK_WORDS = 1 << 18
-_POPCOUNT8 = np.array([bin(i).count("1") for i in range(256)])
-_M1, _M2, _M4, _H01 = (np.uint64(v) for v in (0x5555555555555555, 0x3333333333333333,
-                                               0x0F0F0F0F0F0F0F0F, 0x0101010101010101))
-
-
-def _popcount64(x: np.ndarray) -> np.ndarray:
-    """Set bits of each uint64 entry, by SWAR steps (`np.bitwise_count` needs
-    numpy 2.0); overwrites x."""
-    x -= (x >> np.uint64(1)) & _M1
-    x = (x & _M2) + ((x >> np.uint64(2)) & _M2)
-    x = (x + (x >> np.uint64(4))) & _M4
-    return (x * _H01) >> np.uint64(56)
 
 
 def _row_weights(packed: np.ndarray) -> np.ndarray:
-    """Set bits per row of a packed (N, B) uint8 batch, as int64."""
-    weights = np.zeros(len(packed), dtype=np.int64)
-    for col in packed.T:
-        weights += _POPCOUNT8[col]
-    return weights
+    """Set bits per row of a packed (N, W) array of unsigned words, as int64."""
+    return np.bitwise_count(packed).sum(axis=1, dtype=np.int64)
 
 
 def pack_erasures(words: np.ndarray, eps: float) -> np.ndarray:
@@ -115,9 +97,8 @@ class PatternEntropy:
     words.  Z_i = {x : bit i of word x is 0}, and byte j of a mask indexes a
     (256, W) table whose entry b is the AND of Z_i over the bits i of b (built
     by doubling; entry 0 is all of D).  A pattern's set is the AND of one
-    table row per byte.  It is a subspace of x, so its size is the popcount of
-    its word 0 (x < 64) times the number of its nonzero words (the distinct
-    high parts of x).  The G side stores each table reversed, so that the
+    table row per byte, and its size is the popcount of that AND, summed over
+    its W words.  The G side stores each table reversed, so that the
     erased byte picks the entry of its complement.  Positions past n are zero
     in every word, so they constrain neither side.  When d > SPAN_MAX_DIM,
     each pattern gets one GF(2) elimination instead, on the cheaper of H_E
@@ -162,8 +143,7 @@ class PatternEntropy:
             np.take(self.tables[0], block[:, 0], axis=0, out=a, mode="clip")
             for j in range(1, len(self.tables)):
                 a &= np.take(self.tables[j], block[:, j], axis=0, out=g, mode="clip")
-            nonzero = np.count_nonzero(a, axis=1).astype(np.uint64)
-            log_count[lo : lo + rows] = np.frexp(_popcount64(a[:, 0]) * nonzero)[1] - 1
+            log_count[lo : lo + rows] = np.frexp(_row_weights(a))[1] - 1
         if self.h_side:
             return self.k - log_count
         return _row_weights(erased) - log_count
@@ -214,9 +194,7 @@ def rank_profile(code: CodeSpec) -> np.ndarray:
     d = min(code.k, code.dim)
     low = min(n, ZETA_LOW_BITS)
     span_lo, span_hi = span & ((1 << low) - 1), span >> low
-    # |S_lo|·(d + 1) for S_lo < 2^low, from (high byte, low byte) popcount sums.
-    base = (_POPCOUNT8[: 1 << max(low - 8, 0), None] + _POPCOUNT8[: 1 << min(low, 8)]).ravel()
-    base *= d + 1
+    base = np.bitwise_count(np.arange(1 << low)) * np.int64(d + 1)  # |S_lo|·(d + 1)
     tally = np.zeros((n + 1) * (d + 1), dtype=np.int64)
     for hi in range(1 << (n - low)):
         f = np.bincount(span_lo[(span_hi & ~hi) == 0], minlength=1 << low).astype(np.int32)
@@ -290,7 +268,7 @@ def subcode_supports(code: CodeSpec) -> np.ndarray:
     for j in range(d + 1):
         for block in enumerate_subspaces(d, j):
             support = np.bitwise_or.reduce(words[block], axis=0)  # 0 at j = 0
-            weight = _POPCOUNT8[support.view(np.uint8)].sum(axis=1)
+            weight = _row_weights(support)
             tally[j] += np.bincount(weight, minlength=n + 1)
     return tally
 
@@ -351,8 +329,6 @@ def equivocation_bits(coeffs: Sequence[Sequence[float]], grid: Sequence[float]) 
     `coefficients`.  Terms are added in ascending µ (friendly at small ε) as
     (a·ε^(n−µ))·(1−ε)^µ, and each power is Python's float `**`, not numpy's,
     so a value does not depend on which codes or points share a call.
-    Rows are summed EVAL_BLOCK_ENTRIES // len(grid) at a time through one
-    block-sized scratch buffer.
     """
     a = np.asarray(coeffs, dtype=float)
     grid = [float(eps) for eps in grid]  # np.float64 ** would be numpy's power
@@ -364,15 +340,11 @@ def equivocation_bits(coeffs: Sequence[Sequence[float]], grid: Sequence[float]) 
     erased = np.array([[eps ** (n - mu) for eps in grid] for mu in range(n + 1)])
     revealed = np.array([[(1.0 - eps) ** mu for eps in grid] for mu in range(n + 1)])
     total = np.zeros((len(a), len(grid)))
-    rows = max(1, EVAL_BLOCK_ENTRIES // max(1, len(grid)))
-    term = np.empty((min(rows, len(a)), len(grid)))
-    for lo in range(0, len(a), rows):
-        block = total[lo : lo + rows]
-        t = term[: len(block)]
-        for mu in range(n + 1):
-            np.multiply(a[lo : lo + rows, mu, None], erased[mu], out=t)
-            t *= revealed[mu]
-            block += t
+    term = np.empty_like(total)
+    for mu in range(n + 1):
+        np.multiply(a[:, mu, None], erased[mu], out=term)
+        term *= revealed[mu]
+        total += term
     return total
 
 

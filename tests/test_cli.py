@@ -6,6 +6,8 @@ import importlib.util
 import io
 import json
 import os
+import subprocess
+import sys
 import threading
 import time
 from contextlib import redirect_stderr, redirect_stdout
@@ -364,6 +366,16 @@ def test_threads_are_capped_at_the_cpu_count(stand_in_executor, capsys):
     assert stand_in_executor == []
     assert run(args + ["--threads", "1000000"], capsys) == serial
     assert stand_in_executor == [2, "shutdown"]  # min(10^6, 3 CPUs) − 1 workers
+
+
+def test_import_leaves_concurrent_futures_unloaded():
+    # `ThreadPool` imports it on its first slice, so the 5–10 ms it costs stay
+    # out of every command that samples nothing.
+    path = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
+    probe = "import sys, bewc, bewc.cli; print('concurrent.futures' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": path},
+                         check=True, capture_output=True, text=True)
+    assert out.stdout == "False\n"
 
 
 @pytest.mark.parametrize("argv", [

@@ -385,9 +385,7 @@ def test_equivocation_bits_matches_scalar_loop_bit_for_bit():
     assert bits.tolist() == [[_scalar_bits(p, float(e)) for e in grid] for p in profiles]
 
 
-def test_equivocation_bits_blocks_match_single_rows(monkeypatch):
-    # Three rows per scratch block, so 12 codes take four blocks.
-    monkeypatch.setattr(eq, "EVAL_BLOCK_ENTRIES", 3 * len(eq.DEFAULT_GRID) + 1)
+def test_equivocation_bits_of_many_codes_match_single_rows():
     coeffs = [eq.coefficients(bewc.rank_profile(random_code(13, dim, seed=dim)))
               for dim in range(1, 13)]
     bits = eq.equivocation_bits(coeffs, eq.DEFAULT_GRID)

@@ -109,8 +109,7 @@ def test_scripts_write_cli_tables(tmp_path):
     elsewhere = tmp_path / "elsewhere"
     path = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path, cli.OUTPUT_DIR_ENV: str(elsewhere)}
-    _run_script("make_family_tables.py", "--trials", "2000", "--outdir", "tables",
-                cwd=tmp_path, env=env)
+    _run_script("make_family_tables.py", "--outdir", "tables", cwd=tmp_path, env=env)
     _run_script("run_ensemble_comparison.py", "--trials", "300", "--grid-points", "3",
                 "--outdir", "tables", cwd=tmp_path, env=env)
     # Relative --outdir is taken from the working directory, not $BEWC_OUTPUT_DIR.
