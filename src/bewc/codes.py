@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import struct
+from contextlib import suppress
 from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Iterator
@@ -33,13 +34,12 @@ SUBSPACE_BLOCK = 4096
 # 10^8 entries in all, about 2 s: fifty draws at (1000, 2000).
 RANDOM_RANK_ATTEMPTS = 1000
 RANDOM_DRAW_BUDGET = 10**8
-# Building a code runs rref(G) for its null space, then rank(G), rank(H) and
-# G·Hᵀ.  Each makes up to about n² row operations (an XOR or AND of two n-bit
-# ints, ⌈n/64⌉ words): rank(H) alone makes k²/2 for one all-ones row, and
-# rref(G) and G·Hᵀ make about dim·n and dim·k.  So a build costs about
-# n²·⌈n/64⌉ word operations at any dim.  At 6–10 ns each (2-vCPU VM), the
-# largest shapes admitted (n = 2,324) built in 0.4–2.1 s, the slowest from
-# one all-ones row and from n − 8 dense rows.
+# Building a code ranks G, then runs rref(G) for its null space.  Each makes
+# up to about dim·n row operations (an XOR or AND of two n-bit ints, ⌈n/64⌉
+# words), so a build costs under about n²·⌈n/64⌉ word operations at any dim.
+# At the largest length admitted (n = 2,324; 2-vCPU VM, median of 9 runs)
+# `from_generator` took 1.7 s for a dense random G of 2,316 rows, 0.77 s for
+# one of 1,162 rows and 0.003 s for one all-ones row.
 BUILD_WORD_OPS_BUDGET = 2 * 10**8
 
 
@@ -87,7 +87,10 @@ class CodeSpec:
     """An (n, n−k) base code: generator G (dim×n), parity check H (k×n).
 
     n and dim are G's shape, stored once here so per-trial callers read
-    plain attributes.
+    plain attributes.  CodeSpec checks shapes and trusts G and H otherwise:
+    the checked entries are `from_generator`, `parse`, and the family and
+    random builders, which give G independent rows and H a basis of the
+    dual code.
     """
 
     name: str
@@ -110,12 +113,6 @@ class CodeSpec:
         check_shape(self.n, self.dim)
         if self.H.nrows != self.k or self.H.cols != self.n:
             raise CodeError("H has wrong shape")
-        if gf2.rank(self.G) != self.dim:
-            raise CodeError("G is rank-deficient")
-        if gf2.rank(self.H) != self.k:
-            raise CodeError("H is rank-deficient")
-        if not gf2.is_zero(gf2.mul_transpose(self.G, self.H)):
-            raise CodeError("G·Hᵀ != 0")
 
 
 @dataclass(frozen=True)
@@ -132,12 +129,11 @@ class RandomCodeParams:
 
 
 def from_generator(rows: BitMatrix, name: str = "custom") -> CodeSpec:
-    """Build a CodeSpec from an explicit full-rank generator."""
-    check_shape(rows.cols, rows.nrows)  # before the O(n²) null space
-    H = gf2.null_space(rows)
-    if rows.cols - H.nrows != rows.nrows:  # rank(G) = n − dim(null space)
+    """Build a CodeSpec from an explicit generator, refusing dependent rows."""
+    check_shape(rows.cols, rows.nrows)  # before the O(n²) rank and null space
+    if gf2.rank(rows) != rows.nrows:  # fails fast, before the null space
         raise CodeError("generator rows are linearly dependent")
-    return CodeSpec(name, rows, H)
+    return CodeSpec(name, rows, gf2.null_space(rows))
 
 
 def _nonzero_column_matrix(r: int) -> BitMatrix:
@@ -169,7 +165,7 @@ def random_base(p: RandomCodeParams) -> CodeSpec:
     for _ in range(attempts):
         bits = rng.random((p.dim, p.n)) < p.alpha
         G = BitMatrix(p.n, tuple(gf2.unpack(np.packbits(bits, axis=1, bitorder="little"))))
-        if gf2.rank(G) == p.dim:
+        with suppress(CodeError):  # the shape is checked: only dependent rows raise
             return from_generator(G, f"random-{p.n}-{p.dim}-{p.alpha:g}-{p.seed}")
     raise CodeError(
         f"no full-rank Bernoulli({p.alpha}) generator of shape "

@@ -175,21 +175,3 @@ def vec_mat_mul(v: np.ndarray, m: BitMatrix) -> np.ndarray:
     for b in range(nb):
         out ^= tables[b, v[:, b]]
     return out
-
-
-def mul_transpose(a: BitMatrix, b: BitMatrix) -> BitMatrix:
-    """a·bᵀ over GF(2); entry (i, j) is the parity of |row_i(a) ∧ row_j(b)|."""
-    if a.cols != b.cols:
-        raise DimensionError("widths disagree")
-    out = []
-    for ra in a.rows:
-        w = 0
-        for j, rb in enumerate(b.rows):
-            if (ra & rb).bit_count() & 1:
-                w |= 1 << j
-        out.append(w)
-    return BitMatrix(b.nrows, tuple(out))
-
-
-def is_zero(m: BitMatrix) -> bool:
-    return all(r == 0 for r in m.rows)

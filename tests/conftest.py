@@ -27,6 +27,15 @@ def zeros(nrows: int, cols: int) -> BitMatrix:
     return BitMatrix(cols, (0,) * nrows)
 
 
+def mul_transpose(a: BitMatrix, b: BitMatrix) -> BitMatrix:
+    """a·bᵀ over GF(2); entry (i, j) is the parity of |row_i(a) ∧ row_j(b)|.
+    The reference for the identities that codes and encoders must satisfy."""
+    assert a.cols == b.cols, "widths disagree"
+    return BitMatrix(b.nrows, tuple(
+        sum(((ra & rb).bit_count() & 1) << j for j, rb in enumerate(b.rows))
+        for ra in a.rows))
+
+
 def observation(symbols: str) -> tuple[int, int]:
     """The (revealed mask, word) of an observation over {0, 1, ?}; the
     leftmost symbol is position 0."""

@@ -1,5 +1,7 @@
+import hashlib
 import itertools
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -10,14 +12,14 @@ from bewc import codes, gf2
 from bewc.codes import CodeError, RandomCodeParams
 from bewc.gf2 import BitMatrix, pack, unpack
 
-from conftest import (enumerated_bases, from_strings, identity, random_code,
-                      reference_subspaces)
+from conftest import (enumerated_bases, from_strings, identity, mul_transpose, random_code,
+                      reference_subspaces, zeros)
 
 
 def assert_valid(code):
     assert gf2.rank(code.G) == code.dim
     assert gf2.rank(code.H) == code.k
-    assert gf2.is_zero(gf2.mul_transpose(code.G, code.H))
+    assert mul_transpose(code.G, code.H) == zeros(code.dim, code.k)
     assert code.k == code.n - code.dim
 
 
@@ -54,7 +56,7 @@ def test_hamming_simplex_duality(r):
     h = bewc.hamming_base(r)
     s = bewc.simplex_base(r)
     # Each generator annihilates the other's rows.
-    assert gf2.is_zero(gf2.mul_transpose(h.G, s.G))
+    assert mul_transpose(h.G, s.G) == zeros(h.dim, s.dim)
     assert s.G == h.H
 
 
@@ -119,6 +121,21 @@ def test_random_base_attempts_fit_the_draw_budget(monkeypatch):
     assert len(draws) == 30
 
 
+@pytest.mark.parametrize("n, dim, alpha, seed, attempt", [
+    (16, 8, 0.5, 1, 0), (4, 3, 0.5, 1, 2), (31, 26, 0.5, 12, 1),
+])
+def test_random_base_ranks_each_draw_once_and_builds_one_null_space(
+        n, dim, alpha, seed, attempt, monkeypatch):
+    # Each dependent draw costs one rank and no null space; the full-rank draw
+    # costs one rank and one null space.
+    calls = []
+    for name in ("rank", "null_space"):
+        real = getattr(gf2, name)
+        monkeypatch.setattr(gf2, name, lambda m, name=name, real=real: calls.append(name) or real(m))
+    bewc.random_base(RandomCodeParams(n=n, dim=dim, alpha=alpha, seed=seed))
+    assert calls == ["rank"] * attempt + ["rank", "null_space"]
+
+
 def test_random_base_alpha_too_extreme():
     with pytest.raises(CodeError):
         bewc.random_base(RandomCodeParams(n=4, dim=2, alpha=1e-9, seed=5))
@@ -150,9 +167,6 @@ def test_codespec_shape_comes_from_g(ex1):
     (["1001", "0110"], ["10010", "01100"], "H has wrong shape"),
     (["1001", "0110"], ["1001"], "H has wrong shape"),
     (["1001", "0110"], ["1001", "0110", "1111"], "H has wrong shape"),
-    (["1010", "1010"], ["1001", "0110"], "G is rank-deficient"),
-    (["1001", "0110"], ["1001", "1001"], "H is rank-deficient"),
-    (["1001", "0110"], ["1000", "0100"], "G·Hᵀ != 0"),
 ])
 def test_codespec_refuses_bad_matrices(g, h, message):
     def matrix(rows):
@@ -181,6 +195,14 @@ def test_from_generator_dependent_rows_message(rows):
         bewc.from_generator(from_strings(rows))
 
 
+def test_from_generator_refuses_dependent_rows_before_the_null_space(monkeypatch):
+    def no_null_space(m):
+        raise AssertionError("null space computed for dependent rows")
+    monkeypatch.setattr(gf2, "null_space", no_null_space)
+    with pytest.raises(CodeError, match="^generator rows are linearly dependent$"):
+        bewc.from_generator(from_strings(["1100", "0110", "1010"]))
+
+
 def test_from_generator_rejects_full_dimension():
     with pytest.raises(CodeError):
         bewc.from_generator(identity(4))
@@ -190,6 +212,67 @@ def test_from_generator_single_row():
     c = bewc.from_generator(from_strings(["1111"]))
     assert (c.n, c.dim, c.k) == (4, 1, 3)
     assert_valid(c)
+
+
+# ---------------------------------------------------------------- every builder
+
+def _digest(built):
+    rows = [(c.G.rows, c.H.rows) for c in built]
+    return hashlib.sha256(pickle.dumps(rows, protocol=4)).hexdigest()
+
+
+def _random_params():
+    rng = np.random.default_rng(26)
+    for seed in range(300):
+        n = int(rng.integers(2, 48))
+        yield RandomCodeParams(n=n, dim=int(rng.integers(1, n)),
+                               alpha=float(rng.uniform(0.2, 0.8)), seed=seed)
+
+
+@pytest.mark.parametrize("builder, digest", [
+    (lambda: [bewc.hamming_base(r) for r in range(2, 9)],
+     "75152c41f430aaa21cd2c23ce0cb2fcee60d72cca2b754beb54de2a168488253"),
+    (lambda: [bewc.simplex_base(r) for r in range(2, 9)],
+     "2d09abc4e6e039222d3be44501bc0a74fd7f4071e10496b8776582c00149c9c1"),
+    (lambda: [bewc.random_base(p) for p in _random_params()],
+     "31a1d950dcb3b597161d8b6d7c1489c1a474cef767678739511af1114247c2ea"),
+], ids=["hamming", "simplex", "random"])
+def test_builders_keep_their_generators_and_parity_checks(builder, digest):
+    # A builder's checks and redraws must change no G or H: these digests pin
+    # every one, 26 of the 300 random codes drawn more than once.
+    assert _digest(builder()) == digest
+
+
+@st.composite
+def independent_rows(draw):
+    """1 to n − 1 independent rows of width n ≤ 24, kept from a random list."""
+    n = draw(st.integers(2, 24))
+    kept = []
+    for v in draw(st.lists(st.integers(1, (1 << n) - 1), min_size=1, max_size=n - 1)):
+        if gf2.rank(BitMatrix(n, (*kept, v))) > len(kept):
+            kept.append(v)
+    return BitMatrix(n, tuple(kept))
+
+
+@st.composite
+def built_codes(draw):
+    """A code from each public builder, sometimes read back through parse."""
+    r = st.integers(2, 8)
+    code = draw(st.one_of(
+        r.map(bewc.hamming_base),
+        r.map(bewc.simplex_base),
+        st.integers(2, 40).flatmap(lambda n: st.builds(
+            RandomCodeParams, n=st.just(n), dim=st.integers(1, n - 1),
+            alpha=st.floats(0.1, 0.9), seed=st.integers(0, 2**32))).map(bewc.random_base),
+        independent_rows().map(bewc.from_generator),
+    ))
+    return codes.parse(codes.serialize(code)) if draw(st.booleans()) else code
+
+
+@settings(max_examples=80, deadline=None)
+@given(built_codes())
+def test_every_builder_gives_full_rank_g_and_h_with_zero_product(code):
+    assert_valid(code)
 
 
 # ---------------------------------------------------------------- enumeration

@@ -6,7 +6,7 @@ import bewc
 from bewc import codes, coset, gf2
 from bewc.gf2 import BitMatrix, pack, unpack
 
-from conftest import identity, random_code
+from conftest import identity, mul_transpose, random_code
 
 
 def stacked_rank(enc):
@@ -18,14 +18,14 @@ def stacked_rank(enc):
 
 def test_build_encoder_defining_identity(ex1):
     enc = bewc.build_encoder(ex1)
-    assert gf2.mul_transpose(enc.gprime, ex1.H) == identity(ex1.k)
+    assert mul_transpose(enc.gprime, ex1.H) == identity(ex1.k)
 
 
 def test_build_encoder_hamming3():
     c = bewc.hamming_base(3)
     enc = bewc.build_encoder(c)
     assert enc.gprime.nrows == 3 and enc.gprime.cols == 7
-    assert gf2.mul_transpose(enc.gprime, c.H) == identity(3)
+    assert mul_transpose(enc.gprime, c.H) == identity(3)
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -50,7 +50,7 @@ def test_gprime_is_the_pivot_supported_right_inverse():
     # is the solution of H·q_iᵀ = e_i with every free variable zeroed.
     for code in _gprime_cases():
         gprime = bewc.build_encoder(code).gprime
-        assert gf2.mul_transpose(gprime, code.H) == identity(code.k), code.name
+        assert mul_transpose(gprime, code.H) == identity(code.k), code.name
         pivots = sum(1 << p for p in gf2.rref(code.H)[1])
         assert all(q & ~pivots == 0 for q in gprime.rows), code.name
 
