@@ -16,7 +16,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict
 from pathlib import Path
 from typing import Any, Iterable, Optional, Sequence
 
@@ -180,7 +179,7 @@ def cmd_curve(args) -> int:
     grid = _grid(args, POINT_BYTES + tables)  # tables: equivocation_bits' powers of ε
     cv = eq.curve(code, grid, args.method, args.trials, args.seed, pool=args.pool)
     if args.format == "json":
-        _json(args, code=cv.code_name, method=cv.method, points=[asdict(p) for p in cv.points])
+        _json(args, code=cv.code_name, method=cv.method, points=[vars(p) for p in cv.points])
     else:
         rows = [(p.eps, p.bits, p.rate, p.stderr, p.ci95_lo, p.ci95_hi, cv.method)
                 for p in cv.points]
@@ -196,7 +195,7 @@ def cmd_curve(args) -> int:
 def cmd_gap(args) -> int:
     code = _resolve_code(args)
     rep = eq.achievability_gap(code, args.method, args.trials, args.seed, pool=args.pool)
-    estimate = {} if rep.estimate is None else {"estimate": asdict(rep.estimate)}
+    estimate = {} if rep.estimate is None else {"estimate": vars(rep.estimate)}
     _json(args, code=rep.code_name, R=rep.rate, equivocation_rate_at_R=rep.equivocation_rate_at_r,
           Ag=rep.gap, method=rep.method, **estimate)
     print(f"Ag = {rep.gap:.4f}")
@@ -282,7 +281,7 @@ def cmd_ensemble(args) -> int:
 def cmd_simulate(args) -> int:
     code = _resolve_code(args)
     rep = experiments.simulate_session(code, args.eps, args.trials, args.seed)
-    _json(args, **asdict(rep))
+    _json(args, **vars(rep))
     print(
         f"{code.name} @eps={args.eps:g}: bob_success={rep.bob_success_rate:.4f} "
         f"mean_equivocation={rep.mean_equivocation:.4f} bits (stderr {rep.stderr:.4f})"
@@ -293,7 +292,9 @@ def cmd_simulate(args) -> int:
 # ---------------------------------------------------------------- parser
 
 
-def build_parser() -> _Parser:
+def build_parser(command: Optional[str] = None) -> _Parser:
+    """Every subcommand's parser, or `command`'s alone when it names one: argparse
+    builds a help formatter per argument, so `main` builds only what it runs."""
     p = _Parser(prog="bewc", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
@@ -314,60 +315,68 @@ def build_parser() -> _Parser:
         if mc:
             sp.add_argument("--trials", type=int, default=eq.DEFAULT_MC_TRIALS)
 
-    pc = sub.add_parser("code", help="make / show / validate base codes")
-    pc.add_argument("action", choices=["make", "show", "validate"])
-    pc.add_argument("file", nargs="?", help="code file for show/validate")
-    _add_code_source(pc)
-    common(pc, grid=False, mc=False)
-    pc.set_defaults(func=cmd_code)
+    def code(sp):
+        sp.add_argument("action", choices=["make", "show", "validate"])
+        sp.add_argument("file", nargs="?", help="code file for show/validate")
+        _add_code_source(sp)
+        common(sp, grid=False, mc=False)
 
-    pcv = sub.add_parser("curve", help="equivocation rate curve for one code")
-    _add_code_source(pcv)
-    pcv.add_argument("--method", choices=["exact", "mc", "auto"], default="auto")
-    common(pcv, grid=True)
-    pcv.set_defaults(func=cmd_curve)
+    def curve(sp):
+        _add_code_source(sp)
+        sp.add_argument("--method", choices=["exact", "mc", "auto"], default="auto")
+        common(sp, grid=True)
 
-    pg = sub.add_parser("gap", help="achievability gap at eps = R")
-    _add_code_source(pg)
-    pg.add_argument("--method", choices=["exact", "mc", "auto"], default="auto")
-    common(pg)
-    pg.set_defaults(func=cmd_gap)
+    def gap(sp):
+        _add_code_source(sp)
+        sp.add_argument("--method", choices=["exact", "mc", "auto"], default="auto")
+        common(sp)
 
-    ps = sub.add_parser("sweep", help="gap table across a code family")
-    ps.add_argument("--family", choices=sorted(experiments.FAMILY_BUILDERS), required=True)
-    ps.add_argument("--rs", type=int, nargs="+", default=[3, 4, 5, 6])
-    ps.add_argument("--method", choices=["exact", "mc", "auto"], default="auto")
-    common(ps)
-    ps.set_defaults(func=cmd_sweep)
+    def sweep(sp):
+        sp.add_argument("--family", choices=sorted(experiments.FAMILY_BUILDERS), required=True)
+        sp.add_argument("--rs", type=int, nargs="+", default=[3, 4, 5, 6])
+        sp.add_argument("--method", choices=["exact", "mc", "auto"], default="auto")
+        common(sp)
 
-    px = sub.add_parser("search", help="exhaustive comparison of all (n,dim) codes")
-    px.add_argument("--n", type=int, required=True)
-    px.add_argument("--dim", type=int, required=True)
-    common(px, grid=True, mc=False)
-    px.set_defaults(func=cmd_search)
+    def search(sp):
+        sp.add_argument("--n", type=int, required=True)
+        sp.add_argument("--dim", type=int, required=True)
+        common(sp, grid=True, mc=False)
 
-    pe = sub.add_parser("ensemble", help="random codes vs a reference code")
-    pe.add_argument("--n", type=int, required=True)
-    pe.add_argument("--dim", type=int, required=True)
-    pe.add_argument("--alpha", type=float, required=True)
-    pe.add_argument("--codes", type=int, default=10)
-    pe.add_argument("--reference-family", choices=sorted(experiments.FAMILY_BUILDERS))
-    pe.add_argument("--reference-r", type=int)
-    pe.add_argument("--reference-file")
-    common(pe, grid=True)
-    pe.set_defaults(func=cmd_ensemble)
+    def ensemble(sp):
+        sp.add_argument("--n", type=int, required=True)
+        sp.add_argument("--dim", type=int, required=True)
+        sp.add_argument("--alpha", type=float, required=True)
+        sp.add_argument("--codes", type=int, default=10)
+        sp.add_argument("--reference-family", choices=sorted(experiments.FAMILY_BUILDERS))
+        sp.add_argument("--reference-r", type=int)
+        sp.add_argument("--reference-file")
+        common(sp, grid=True)
 
-    psim = sub.add_parser("simulate", help="end-to-end channel session")
-    _add_code_source(psim)
-    psim.add_argument("--eps", type=float, required=True)
-    common(psim)
-    psim.set_defaults(func=cmd_simulate)
+    def simulate(sp):
+        _add_code_source(sp)
+        sp.add_argument("--eps", type=float, required=True)
+        common(sp)
 
+    commands = {  # name: its help line, what adds its arguments, what runs it
+        "code": ("make / show / validate base codes", code, cmd_code),
+        "curve": ("equivocation rate curve for one code", curve, cmd_curve),
+        "gap": ("achievability gap at eps = R", gap, cmd_gap),
+        "sweep": ("gap table across a code family", sweep, cmd_sweep),
+        "search": ("exhaustive comparison of all (n,dim) codes", search, cmd_search),
+        "ensemble": ("random codes vs a reference code", ensemble, cmd_ensemble),
+        "simulate": ("end-to-end channel session", simulate, cmd_simulate),
+    }
+    for name in [command] if command in commands else commands:
+        help_line, add_arguments, func = commands[name]
+        sp = sub.add_parser(name, help=help_line)
+        add_arguments(sp)
+        sp.set_defaults(func=func)
     return p
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
         if args.threads < 1:

@@ -16,7 +16,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import bewc
 from bewc import cli, codes, experiments
@@ -597,6 +597,7 @@ _JUNK = ["--bogus", "zzz", "", "nan", "-1", "1e999", "--", "0x1f"]
 # Never left out: their defaults are 10^6 trials, 99 points and --rs 3 4 5 6.
 # Nor is a grid command's --eps given in place of --grid.
 _KEPT = ("--trials", "--grid", "--rs")
+_COMMANDS = ["code", "curve", "gap", "sweep", "search", "ensemble", "simulate"]
 
 
 def _ints(lo, hi):
@@ -653,8 +654,7 @@ def _argv(draw, files):
     """argv for one subcommand: valid in about a third of the draws, else with
     one or two faulted flags (dropped, or given a bad value), a second code
     source, junk tokens or -h."""
-    command = draw(st.sampled_from(["code", "curve", "gap", "sweep", "search", "ensemble",
-                                    "simulate"]))
+    command = draw(st.sampled_from(_COMMANDS))
     source, opts = _opts(draw, files, command)
     argv = [command]
     if command == "code":
@@ -713,3 +713,102 @@ def test_cli_fuzz_exits_0_1_or_2(data, tmp_path_factory):
         lines = err.getvalue().splitlines()
         assert len(lines) == 1, (argv, lines)
         assert lines[0].startswith(("error: ", "guard violation: ", "invalid: ")), (argv, lines)
+
+
+# ---------------------------------------------------------------- parser per command
+
+_GAP = ["gap", "--family", "hamming", "--r", "3", "--method", "exact"]
+_ALL_PARSERS = ["bewc"] + [f"bewc {c}" for c in _COMMANDS]
+
+
+class _Built(Exception):
+    pass
+
+
+def _parser_main_builds(argv):
+    """The parser that `cli.main(argv)` builds, taken before it parses."""
+    real, built = cli.build_parser, []
+
+    def spy(*args, **kwargs):
+        built.append(real(*args, **kwargs))
+        raise _Built
+
+    with mock.patch.object(cli, "build_parser", spy), pytest.raises(_Built):
+        cli.main(argv)
+    return built[0]
+
+
+def _outcome(parser, argv):
+    """What parsing `argv` gives: the Namespace's repr (so that a NaN equals
+    itself), the UsageError's message, or the SystemExit's code with what was printed."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            return repr(parser.parse_args(argv))
+        except cli.UsageError as e:
+            return str(e)
+        except SystemExit as e:
+            return e.code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=200, deadline=None)
+@given(argv=_argv(["h3.json", "garbage.json", "missing.json", "out"]))
+@example(argv=[])
+@example(argv=["-h"])
+@example(argv=["frobnicate"])
+@example(argv=["-h", "curve"])
+def test_main_parser_parses_as_the_full_parser(argv):
+    assert _outcome(_parser_main_builds(argv), argv) == _outcome(cli.build_parser(), argv)
+
+
+@pytest.mark.parametrize("command", _COMMANDS)
+def test_subcommand_help_is_the_full_parsers(command):
+    own, full = _parser_main_builds([command]), cli.build_parser()
+    printed = _outcome(own, [command, "-h"])
+    assert printed[0] == 0 and printed[1].startswith(f"usage: bewc {command} ")
+    assert printed == _outcome(full, [command, "-h"])
+
+
+@pytest.fixture
+def parsers_built(monkeypatch):
+    """The prog of every `_Parser` constructed while the test runs, in order."""
+    real, built = cli._Parser.__init__, []
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs["prog"])
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counting)
+    return built
+
+
+def test_a_command_builds_only_its_own_parser_on_every_call(parsers_built, capsys):
+    assert run(_GAP, capsys) == (0, "Ag = 0.0803\n", "")
+    assert parsers_built == ["bewc", "bewc gap"]
+    # Nothing is kept from the first call: the second builds its own pair.
+    assert run(_GAP, capsys) == (0, "Ag = 0.0803\n", "")
+    assert parsers_built == ["bewc", "bewc gap"] * 2
+
+
+def test_the_entry_point_reads_its_command_from_sys_argv(parsers_built, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["bewc", *_GAP])
+    assert cli.main() == 0
+    assert capsys.readouterr().out == "Ag = 0.0803\n"
+    assert parsers_built == ["bewc", "bewc gap"]
+
+
+def test_help_builds_every_parser(parsers_built, capsys):
+    with pytest.raises(SystemExit) as e:
+        cli.main(["--help"])
+    assert e.value.code == 0
+    out = capsys.readouterr().out
+    assert all(f"\n    {c} " in out for c in _COMMANDS)
+    assert parsers_built == _ALL_PARSERS
+
+
+def test_an_unknown_command_builds_every_parser(parsers_built, capsys):
+    rc, _, stderr = run(["frobnicate"], capsys)
+    assert rc == 1
+    assert stderr.startswith("error: argument command: invalid choice: 'frobnicate'")
+    assert stderr.count("\n") == 1
+    assert parsers_built == _ALL_PARSERS
