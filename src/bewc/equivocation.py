@@ -53,9 +53,9 @@ CI95 = 1.96
 # 1.7–7.9 µs against 5.0–151 µs.  The crossover lies above 13, but table
 # memory doubles with each d (4 MB at d = 13, n = 127; 8 MB at d = 14).
 SPAN_MAX_DIM = 13
-# uint64 words in the kernel's accumulator and in each gathered table slice
-# (2 MB each), so its scratch stays fixed however many patterns a batch holds.
-KERNEL_BLOCK_WORDS = 1 << 18
+# uint64 words (2 MB) in one sampling step, `PatternEntropy.rows` trials drawn,
+# packed and scored at once: it bounds both the draw and the kernel's accumulator.
+STEP_WORDS = 1 << 18
 
 
 def _row_weights(packed: np.ndarray) -> np.ndarray:
@@ -103,17 +103,20 @@ class PatternEntropy:
     in every word, so they constrain neither side.  When d > SPAN_MAX_DIM,
     each pattern gets one GF(2) elimination instead, on the cheaper of H_E
     and G_Ē.
+    A call scores its whole batch in one pass; the samplers pass it at most
+    `rows` = STEP_WORDS / max(n, W) trials (W = 1 when eliminating).
     """
 
     def __init__(self, code: CodeSpec):
         self.n, self.k, self.dim = code.n, code.k, code.dim
         self.h_side = code.k <= code.dim
         d = min(code.k, code.dim)
+        nbytes, w = (code.n + 7) // 8, max(1, (1 << d) // 64) if d <= SPAN_MAX_DIM else 1
+        self.rows = max(1, STEP_WORDS // max(code.n, w))
         if d > SPAN_MAX_DIM:
             self.tables = None
             self.cols_h, self.cols_g = gf2.column_ints(code.H), gf2.column_ints(code.G)
             return
-        nbytes, w = (code.n + 7) // 8, max(1, (1 << d) // 64)
         words = gf2.pack(_smaller_row_space(code), 8 * nbytes)  # (2^d, nbytes)
         zero = np.unpackbits(~words, axis=1, bitorder="little")  # 1 where word x has a 0
         z = np.zeros((8 * nbytes, 8 * w), dtype=np.uint8)
@@ -131,19 +134,10 @@ class PatternEntropy:
         if self.tables is None:
             return np.array([self._eliminate(row, int(e)) for row, e
                              in zip(gf2.unpack(erased), _row_weights(erased))], dtype=np.int64)
-        log_count = np.empty(len(erased), dtype=np.int64)
-        w = self.tables.shape[2]
-        rows = max(1, KERNEL_BLOCK_WORDS // w)
-        acc = np.empty((min(rows, len(erased)), w), dtype=np.uint64)
-        gathered = np.empty_like(acc)
-        for lo in range(0, len(erased), rows):
-            block = erased[lo : lo + rows]
-            a, g = acc[: len(block)], gathered[: len(block)]
-            # mode="clip" (a byte never clips) spares take's buffered `out`.
-            np.take(self.tables[0], block[:, 0], axis=0, out=a, mode="clip")
-            for j in range(1, len(self.tables)):
-                a &= np.take(self.tables[j], block[:, j], axis=0, out=g, mode="clip")
-            log_count[lo : lo + rows] = np.frexp(_row_weights(a))[1] - 1
+        acc = np.take(self.tables[0], erased[:, 0], axis=0)
+        for j in range(1, len(self.tables)):
+            acc &= np.take(self.tables[j], erased[:, j], axis=0)
+        log_count = np.frexp(_row_weights(acc))[1] - 1
         if self.h_side:
             return self.k - log_count
         return _row_weights(erased) - log_count
@@ -405,16 +399,17 @@ class ThreadPool:
 def _slice_sums(ent: PatternEntropy, eps: float, seed: int, lo: int, hi: int) -> tuple[int, int]:
     """(Σh, Σh²) over trials [lo, hi) of a point, lo a multiple of 4: the rows
     of each batch in the range, drawn from that batch's stream advanced past
-    its rows before lo (`Philox.advance(m)` skips 4m words)."""
+    its rows before lo (`Philox.advance(m)` skips 4m words), in steps of `ent.rows`."""
     s = ss = 0
     for bindex in range(lo // MC_BATCH, -(-hi // MC_BATCH)):
         start = max(lo - bindex * MC_BATCH, 0)
         stop = min(hi - bindex * MC_BATCH, MC_BATCH)
         bits = make_rng(seed, bindex).bit_generator
         bits.advance(start * ent.n // 4)
-        h = ent(pack_erasures(bits.random_raw((stop - start, ent.n)), eps))
-        s += int(h.sum())
-        ss += int(h @ h)
+        for a in range(start, stop, ent.rows):
+            h = ent(pack_erasures(bits.random_raw((min(ent.rows, stop - a), ent.n)), eps))
+            s += int(h.sum())
+            ss += int(h @ h)
     return s, ss
 
 
@@ -431,7 +426,8 @@ def mc_equivocation(code: CodeSpec, eps: float, trials: int, seed: int,
     cut at multiples of 4 into one slice per thread, the calling thread's
     first.  A slice draws the words the serial loop gives its rows, from each
     batch's stream advanced past the rows before it (`_slice_sums`), and
-    returns exact integer sums, so the estimate is bit-identical on any pool.
+    returns exact integer sums, so the estimate is bit-identical on any pool;
+    each thread holds one step, at most STEP_WORDS (2 MB), of drawn words.
     """
     check_mc_args(eps, trials)
     ent = PatternEntropy(code) if ent is None else ent

@@ -31,13 +31,12 @@ class SessionReport:
     seed: int
 
 
-# Trials per `_session_stream` chunk.  Even, so that no chunk starts on a
-# buffered uint32 half-word; small, so a chunk's arrays stay cache-sized.
+# Most trials per `simulate_session` chunk: small, so its arrays stay cache-sized.
 SESSION_CHUNK = 2048
 
 
-def _session_stream(rng: np.random.Generator, trials: int, mb: int, vb: int, n: int):
-    """Yield, chunk by chunk, exactly what per-trial `rng.bytes(mb)`,
+def _session_stream(rng: np.random.Generator, trials: int, mb: int, vb: int, n: int, chunk: int):
+    """Yield, `chunk` trials at a time, exactly what per-trial `rng.bytes(mb)`,
     `rng.bytes(vb)` and `rng.random(n)` calls would read: an (N, mb) and an
     (N, vb) uint8 view whose rows are those byte strings, and an (N, n)
     uint64 array of the raw words that `random` turns into its doubles,
@@ -48,13 +47,14 @@ def _session_stream(rng: np.random.Generator, trials: int, mb: int, vb: int, n: 
     buffers the high half for the next uint32 draw, across calls and trials.
     A double takes a fresh word and leaves the buffer alone.  With
     c = ⌈mb/4⌉ + ⌈vb/4⌉ uint32s per trial, each pair of trials reads ⌈c/2⌉
-    uint32 words, n double words, ⌊c/2⌋ uint32 words, n double words.
+    uint32 words, n double words, ⌊c/2⌋ uint32 words, n double words, so an
+    even chunk never starts on a buffered half-word.
     """
     cm, cv = -(-mb // 4), -(-vb // 4)
     c = cm + cv
     h0, h1 = (c + 1) // 2, c // 2
-    for start in range(0, trials, SESSION_CHUNK):
-        size = min(SESSION_CHUNK, trials - start)
+    for start in range(0, trials, chunk):
+        size = min(chunk, trials - start)
         pairs = (size + 1) // 2  # an odd last chunk reads one spare trial
         raw = rng.bit_generator.random_raw(pairs * (c + 2 * n)).reshape(pairs, c + 2 * n)
         halves = np.concatenate([raw[:, :h0], raw[:, h0 + n : h0 + n + h1]], axis=1)
@@ -72,13 +72,14 @@ def simulate_session(code: CodeSpec, eps: float, trials: int, seed: int) -> Sess
     The stream contract is per trial: m from `rng.bytes(⌈k/8⌉)`, v from
     `rng.bytes(⌈dim/8⌉)`, each cut to its low k or dim bits, then the
     erasures from `rng.random(n)` < ε.  `_session_stream` reads the same
-    words from one raw read per SESSION_CHUNK trials, `pack_erasures` decides
-    each erasure on its word as `random` would, and each chunk takes one
-    `encode`, one `decode` and one `PatternEntropy` call.
+    words from one raw read per chunk (SESSION_CHUNK trials, or `ent.rows` made
+    even if fewer), `pack_erasures` decides each erasure on its word as `random`
+    would, and each chunk takes one `encode`, one `decode` and one kernel call.
     """
     eq.check_mc_args(eps, trials)
     enc = coset.build_encoder(code)
     ent = eq.PatternEntropy(code)
+    chunk = max(2, min(SESSION_CHUNK, ent.rows) // 2 * 2)
     n, k, dim = code.n, code.k, code.dim
     mb, vb = (k + 7) // 8, (dim + 7) // 8
     # Byte masks that keep the low k (dim) bits of a packed row.
@@ -86,7 +87,7 @@ def simulate_session(code: CodeSpec, eps: float, trials: int, seed: int) -> Sess
     rng = make_rng(seed, "session")
     bob_ok = 0
     s = ss = 0
-    for mbytes, vbytes, words in _session_stream(rng, trials, mb, vb, n):
+    for mbytes, vbytes, words in _session_stream(rng, trials, mb, vb, n, chunk):
         m = mbytes & mask_m
         x = coset.encode(enc, m, vbytes & mask_v)
         bob_ok += int(np.all(coset.decode(enc, x) == m, axis=1).sum())

@@ -3,6 +3,7 @@ import itertools
 import math
 import os
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -108,18 +109,6 @@ def test_entropy_tables_every_listed_dimension(d):
         for c in (code, dual):
             assert PatternEntropy(c).tables.shape == ((n + 7) // 8, 256, max(1, 2**d // 64))
             _assert_kernel_matches_generator_formula(c, _sample_masks(rng, n, 40))
-
-
-@pytest.mark.parametrize("n, dim", [(31, 26), (31, 5), (20, 8), (20, 12), (70, 62)])
-def test_entropy_tables_score_in_row_blocks(n, dim, monkeypatch):
-    # W = 1 and W = 4 words per bitset; blocks of 1 and 3 rows, the last ragged.
-    code = random_code(n, dim, seed=n)
-    erased = pack(_sample_masks(np.random.default_rng(n), n, 50), n)
-    want = PatternEntropy(code)(erased)
-    for rows in (1, 3):
-        ent = PatternEntropy(code)
-        monkeypatch.setattr(eq, "KERNEL_BLOCK_WORDS", rows * ent.tables.shape[2])
-        assert ent(erased).tolist() == want.tolist()
 
 
 # ---------------------------------------------------------------- oracle
@@ -711,6 +700,38 @@ def test_mc_estimate_is_the_same_on_any_pool(n, pool, monkeypatch):
         for eps in (0.0, 0.3, 1.0):
             want = bewc.mc_equivocation(code, eps, trials, seed=6)
             assert bewc.mc_equivocation(code, eps, trials, 6, pool) == want, (trials, eps)
+
+
+@pytest.mark.parametrize("n, dim", [(31, 26), (31, 5), (20, 8), (70, 62)])
+def test_mc_estimate_is_the_same_in_any_step(n, dim, monkeypatch):
+    # W = 1 and W = 4 words per bitset, H side and G side; steps of 1 and 3
+    # rows against one step per batch.  Batches of 64 keep the test fast: 150
+    # trials cross two batch edges, each batch ends on a ragged step of 3, and
+    # the two-thread cut at trial 72 starts a slice between two steps.
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(eq, "MC_BATCH", 64)
+    monkeypatch.setattr(eq, "MC_SLICE_WORDS", 0)
+    code, trials = random_code(n, dim, seed=n), 150
+    assert PatternEntropy(code).rows == eq.STEP_WORDS // n
+    want = bewc.mc_equivocation(code, 0.4, trials, seed=8)
+    for rows in (1, 3):
+        monkeypatch.setattr(eq, "STEP_WORDS", rows * n)
+        assert PatternEntropy(code).rows == rows
+        assert bewc.mc_equivocation(code, 0.4, trials, seed=8) == want, rows
+        with eq.ThreadPool(2) as pool:
+            assert bewc.mc_equivocation(code, 0.4, trials, 8, pool) == want, rows
+
+
+def test_mc_point_holds_one_step_of_drawn_words():
+    # 2^14 trials at n = 1000 draw 128 MB of words: one step is 2 MB.
+    code = random_code(1000, 4, seed=0)
+    tracemalloc.start()
+    try:
+        bewc.mc_equivocation(code, 0.5, eq.MC_BATCH, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 << 20, peak
 
 
 def test_mc_estimate_survives_more_threads_than_cores(monkeypatch):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -36,10 +38,9 @@ def test_session_pinned():
 
 
 @pytest.mark.parametrize("chunk", [2, 4, experiments.SESSION_CHUNK])
-def test_session_stream_matches_generator_calls(chunk, monkeypatch):
+def test_session_stream_matches_generator_calls(chunk):
     # The chunked raw read must return what per-trial Generator calls return;
     # a numpy change to Philox's half-word buffering or to `bytes` fails here.
-    monkeypatch.setattr(experiments, "SESSION_CHUNK", chunk)
     pick = np.random.default_rng(7)
     # (k, dim): c = ⌈mb/4⌉ + ⌈vb/4⌉ even and odd, and k or dim above 32 and 64.
     shapes = [(3, 4), (4, 11), (33, 5), (5, 40), (65, 2), (65, 40), (9, 70), (100, 33)]
@@ -51,7 +52,7 @@ def test_session_stream_matches_generator_calls(chunk, monkeypatch):
         seed = int(pick.integers(1 << 63))
         fast, slow = codes.make_rng(seed), codes.make_rng(seed)
         read = 0
-        for mbytes, vbytes, words in experiments._session_stream(fast, trials, mb, vb, n):
+        for mbytes, vbytes, words in experiments._session_stream(fast, trials, mb, vb, n, chunk):
             assert len(mbytes) == len(vbytes) == len(words) <= chunk
             assert mbytes.dtype == vbytes.dtype == np.uint8 and words.dtype == np.uint64
             assert mbytes.shape[1:] == (mb,) and vbytes.shape[1:] == (vb,)
@@ -73,6 +74,28 @@ def test_session_report_independent_of_chunk_size(monkeypatch):
         monkeypatch.setattr(experiments, "SESSION_CHUNK", chunk)
         reports.append(bewc.simulate_session(code, 0.6, trials=4099, seed=5))
     assert reports[0] == reports[1] == reports[2]
+    # The kernel's step cuts the chunk too, made even: 1 → 2 and 7 → 6.
+    for rows in (1, 7):
+        monkeypatch.setattr(eq, "STEP_WORDS", rows * code.n)
+        assert bewc.simulate_session(code, 0.6, trials=4099, seed=5) == reports[0], rows
+
+
+def test_session_holds_one_step_of_drawn_words(monkeypatch):
+    # At n = 1000 the kernel's step of 262 trials cuts the 2,048-trial chunk;
+    # the report is bit for bit the one an uncut chunk gives.  The encoder's
+    # big-int elimination runs 20x slower traced, so it is built untraced.
+    code = random_code(1000, 4, seed=0)
+    enc = coset.build_encoder(code)
+    monkeypatch.setattr(coset, "build_encoder", lambda c: enc)
+    tracemalloc.start()
+    try:
+        rep = bewc.simulate_session(code, 0.5, trials=4096, seed=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 << 20, peak
+    monkeypatch.setattr(eq, "STEP_WORDS", experiments.SESSION_CHUNK * code.n)
+    assert rep == bewc.simulate_session(code, 0.5, trials=4096, seed=2)
 
 
 def test_session_counts_bob_failures(monkeypatch):
