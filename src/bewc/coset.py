@@ -26,7 +26,11 @@ CODEBOOK_GUARD_N = 20
 class EncoderMatrices:
     code: CodeSpec
     gprime: BitMatrix  # k×n, rows q_1..q_k with G'·Hᵀ = I_k
-    htrans: BitMatrix  # n×k, Hᵀ, the syndrome map
+    # The `vec_mat_mul` tables of G', G and Hᵀ (n×k, the syndrome map), built
+    # once here so that `encode` and `decode` only gather.
+    gprime_tables: gf2.ByteTables
+    g_tables: gf2.ByteTables
+    htrans_tables: gf2.ByteTables
 
 
 def build_encoder(code: CodeSpec) -> EncoderMatrices:
@@ -46,20 +50,26 @@ def build_encoder(code: CodeSpec) -> EncoderMatrices:
         for i in range(k):
             if (a >> i) & 1:
                 rows[i] |= 1 << p
-    htrans = BitMatrix(k, tuple(gf2.column_ints(code.H)))
-    return EncoderMatrices(code=code, gprime=BitMatrix(n, tuple(rows)), htrans=htrans)
+    gprime = BitMatrix(n, tuple(rows))
+    return EncoderMatrices(
+        code=code,
+        gprime=gprime,
+        gprime_tables=gf2.ByteTables(gprime),
+        g_tables=gf2.ByteTables(code.G),
+        htrans_tables=gf2.ByteTables(BitMatrix(k, tuple(gf2.column_ints(code.H)))),
+    )
 
 
 def encode(enc: EncoderMatrices, m: np.ndarray, v: np.ndarray) -> np.ndarray:
     """x = m·G' ⊕ v·G row by row; m selects the coset, v the codeword within it."""
     if len(m) != len(v):
         raise gf2.DimensionError(f"need one random vector per message, got {len(v)} for {len(m)}")
-    return gf2.vec_mat_mul(m, enc.gprime) ^ gf2.vec_mat_mul(v, enc.code.G)
+    return gf2.vec_mat_mul(m, enc.gprime_tables) ^ gf2.vec_mat_mul(v, enc.g_tables)
 
 
 def decode(enc: EncoderMatrices, y: np.ndarray) -> np.ndarray:
     """Syndrome decoding, row by row: m = y·Hᵀ.  Assumes y arrived erasure-free."""
-    return gf2.vec_mat_mul(y, enc.htrans)
+    return gf2.vec_mat_mul(y, enc.htrans_tables)
 
 
 @dataclass(frozen=True)

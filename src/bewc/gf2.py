@@ -4,10 +4,11 @@ A row, vector, erasure pattern or observed word is a Python int whose bit i
 is position i, so a row operation is one XOR.  A batch of vectors is an
 (N, ⌈bits/8⌉) uint8 array, one vector per row, with bit j of byte b at
 position 8b + j (the layout of `np.packbits(..., bitorder="little")`);
-`vec_mat_mul` alone computes on batches.  `pack` and `unpack` are the only
-conversions between the two formats, and `to01` and `from01` the only ones
-to and from '01' strings, whose leftmost character is position 0.  Everything
-here is a pure function; nothing mutates its inputs.
+`vec_mat_mul` alone computes on batches, from a matrix's `ByteTables`.
+`pack` and `unpack` are the only conversions between the two formats, and
+`to01` and `from01` the only ones to and from '01' strings, whose leftmost
+character is position 0.  Everything here is a pure function or an immutable
+value; nothing mutates its inputs.
 
 A matrix with zero rows or zero columns is legal (rank 0); full-rank null
 spaces produce them.
@@ -15,7 +16,7 @@ spaces produce them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -152,26 +153,45 @@ def null_space(m: BitMatrix) -> BitMatrix:
     return BitMatrix(m.cols, tuple(basis))
 
 
-def vec_mat_mul(v: np.ndarray, m: BitMatrix) -> np.ndarray:
-    """Row-wise v·m over GF(2) for a batch: row i of the result is the XOR of
-    the rows of m selected by row i of v.
+@dataclass(frozen=True)
+class ByteTables:
+    """m's rows as the lookup tables `vec_mat_mul` gathers from, built once.
+
+    tables[b, s] is the XOR of the rows 8b + j of m over the set bits j of
+    byte s: (⌈m.nrows/8⌉, 256, ⌈m.cols/8⌉) uint8, packed as `pack` packs,
+    and read-only.  Two ByteTables are equal when their matrices are.
+    """
+
+    m: BitMatrix
+    tables: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        m = self.m
+        nb, ob = (m.nrows + 7) // 8, (m.cols + 7) // 8
+        rows = np.zeros((8 * nb, ob), dtype=np.uint8)
+        rows[: m.nrows] = pack(m.rows, m.cols)
+        tables = np.zeros((nb, 256, ob), dtype=np.uint8)
+        for j in range(8):  # by doubling: entry s | 2^j = entry s ^ row j
+            tables[:, 1 << j : 2 << j] = tables[:, : 1 << j] ^ rows[j::8, None]
+        tables.flags.writeable = False
+        object.__setattr__(self, "tables", tables)
+
+
+def vec_mat_mul(v: np.ndarray, t: ByteTables) -> np.ndarray:
+    """Row-wise v·m over GF(2) for a batch, m = t.m: row i of the result is
+    the XOR of the rows of m selected by row i of v.
 
     v is (N, ⌈m.nrows/8⌉) uint8 and the result (N, ⌈m.cols/8⌉) uint8, both
-    packed as `pack` packs.  Each byte of v indexes a 256-entry table of the
-    XORs of every subset of the eight rows of m it covers.
+    packed as `pack` packs.  Each byte of v picks one entry of its table.
     """
-    nb, ob = (m.nrows + 7) // 8, (m.cols + 7) // 8
+    m = t.m
+    nb = (m.nrows + 7) // 8
     if v.dtype != np.uint8 or v.ndim != 2 or v.shape[1] != nb:
         raise DimensionError(f"need (N, {nb}) uint8 rows for {m.nrows} bits, "
                              f"got {v.dtype} {v.shape}")
     if m.nrows % 8 and np.any(v[:, -1] >> (m.nrows % 8)):
         raise DimensionError(f"bits set beyond the {m.nrows} rows")
-    rows = np.zeros((8 * nb, ob), dtype=np.uint8)
-    rows[: m.nrows] = pack(m.rows, m.cols)
-    tables = np.zeros((nb, 256, ob), dtype=np.uint8)
-    for j in range(8):  # by doubling: entry s | 2^j = entry s ^ row j
-        tables[:, 1 << j : 2 << j] = tables[:, : 1 << j] ^ rows[j::8, None]
-    out = np.zeros((len(v), ob), dtype=np.uint8)
+    out = np.zeros((len(v), (m.cols + 7) // 8), dtype=np.uint8)
     for b in range(nb):
-        out ^= tables[b, v[:, b]]
+        out ^= t.tables[b, v[:, b]]
     return out

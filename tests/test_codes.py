@@ -179,8 +179,9 @@ def test_codespec_refuses_bad_matrices(g, h, message):
 
 def test_from_generator_example_code(ex1):
     cb_words = set()
+    g = gf2.ByteTables(ex1.G)
     for v in range(4):
-        cb_words.update(unpack(gf2.vec_mat_mul(pack([v], 2), ex1.G)))
+        cb_words.update(unpack(gf2.vec_mat_mul(pack([v], 2), g)))
     assert cb_words == {0b0000, 0b0110, 0b1001, 0b1111}
 
 

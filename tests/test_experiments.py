@@ -115,6 +115,21 @@ def test_session_counts_bob_failures(monkeypatch):
     assert rep.bob_success_rate == 1 - 3 / trials
 
 
+def test_session_builds_each_table_once(monkeypatch):
+    # `encode` and `decode` gather from the encoder's G', G and Hᵀ tables;
+    # no chunk builds a table of its own.
+    built = []
+    init = gf2.ByteTables.__post_init__
+
+    def counting(self):
+        built.append(self.m)
+        init(self)
+    monkeypatch.setattr(gf2.ByteTables, "__post_init__", counting)
+    code = bewc.hamming_base(4)
+    bewc.simulate_session(code, 0.3, trials=3 * experiments.SESSION_CHUNK + 1, seed=0)
+    assert len(built) == 3 and built[1] == code.G
+
+
 def test_session_validates_arguments():
     h3 = bewc.hamming_base(3)
     with pytest.raises(ValueError, match=r"eps must be in \[0, 1\], got 1.5"):
@@ -174,7 +189,8 @@ def test_exhaustive_search_matches_curve_and_gap_bit_for_bit():
 
 
 @pytest.mark.parametrize("n, dim", [(n, d) for n in range(2, 7) for d in range(1, n)]
-                         + [(7, 3), (9, 8), (10, 9)])  # dim·n = 72, 90: keys past 64 bits
+                         # (7,4) and (n, n − 1): H's key merges most, (7,3): G's
+                         + [(7, 3), (7, 4), (9, 8), (10, 9)])
 def test_exhaustive_search_matches_per_code_profiles(n, dim):
     # One profile per column multiset must give exactly what a profile of
     # every code gives, evaluated in one `equivocation_bits` call.
@@ -211,9 +227,11 @@ def test_exhaustive_search_indices_are_python_ints():
     assert sorted(res.ranking) == list(range(res.count))
 
 
-@pytest.mark.parametrize("n, dim, classes", [(7, 4, 816), (7, 3, 330)])
+@pytest.mark.parametrize("n, dim, classes", [(7, 4, 330), (7, 3, 330), (13, 12, 13)])
 def test_exhaustive_search_profiles_each_column_multiset_once(n, dim, classes, monkeypatch):
-    assert classes == len({tuple(sorted(gf2.column_ints(g)))
+    def side(g):  # the smaller side: H when k ≤ dim, else G
+        return codes.from_generator(g).H if n - dim <= dim else g
+    assert classes == len({tuple(sorted(gf2.column_ints(side(g))))
                            for g in enumerated_bases(n, dim)})
     calls = {"rank_profile": 0, "from_generator": 0}
 
@@ -229,6 +247,19 @@ def test_exhaustive_search_profiles_each_column_multiset_once(n, dim, classes, m
         calls.update(rank_profile=0, from_generator=0)
         bewc.exhaustive_search(n, dim, [0.5])
         assert calls == {"rank_profile": classes, "from_generator": classes}
+
+
+@pytest.mark.parametrize("n, dim", [(n, d) for n in range(2, 7) for d in range(1, n)])
+def test_class_keys_never_merge_codes_with_different_profiles(n, dim):
+    # Each code's profile by brute force: (|S|, rank of G's columns in S) over
+    # every subset S of positions.  Codes that share a key must share it.
+    bases = enumerated_bases(n, dim)
+    keys = experiments._class_keys(np.array([g.rows for g in bases]), n, dim)
+    profiles = {}
+    for key, g in zip(keys.tolist(), bases):
+        cols = gf2.column_ints(g)
+        profile = sorted((s.bit_count(), gf2.masked_rank(cols, s)) for s in range(1 << n))
+        assert profiles.setdefault(key, profile) == profile, (n, dim, g)
 
 
 # ---------------------------------------------------------------- ensembles
