@@ -301,9 +301,9 @@ def build_parser(command: Optional[str] = None) -> _Parser:
     def common(sp, grid=False, mc=True):
         sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
         sp.add_argument("--threads", type=int, default=1,
-                        help="threads that draw and score Monte Carlo trials, at most the "
-                        "CPU count; results do not depend on it (exact methods, search and "
-                        "simulate run on one thread)")
+                        help=f"threads that run a Monte Carlo point's batches of {eq.MC_BATCH:,} "
+                        "trials, at most the CPU count; results do not depend on it (exact "
+                        "methods, search and simulate run on one thread)")
         sp.add_argument("-o", "--output", help="output file (relative paths land in "
                         f"${OUTPUT_DIR_ENV} when set)")
         sp.add_argument("--format", choices=["csv", "json"], default="csv",

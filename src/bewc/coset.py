@@ -38,19 +38,17 @@ def build_encoder(code: CodeSpec) -> EncoderMatrices:
 
     Row j of A·H has its pivot at column p_j, so q_i = XOR of e_{p_j} over the
     j with A[j][i] = 1 solves H·q_iᵀ = e_i with every free variable zeroed,
-    a deterministic choice.  q_i·h_iᵀ = 1 already forces q_i outside the base
-    code, so no separate membership check is needed.
+    a deterministic choice: with row j of A placed at row p_j of an n-row
+    matrix, q_i is its column i.  q_i·h_iᵀ = 1 already forces q_i outside the
+    base code, so no separate membership check is needed.
     """
     n, k = code.n, code.k
     aug = BitMatrix(n + k, tuple(h | 1 << (n + i) for i, h in enumerate(code.H.rows)))
     red, piv = gf2.rref(aug)
-    rows = [0] * k
+    placed = [0] * n
     for row, p in zip(red.rows, piv):  # H has full rank, so every pivot p < n
-        a = row >> n
-        for i in range(k):
-            if (a >> i) & 1:
-                rows[i] |= 1 << p
-    gprime = BitMatrix(n, tuple(rows))
+        placed[p] = row >> n
+    gprime = BitMatrix(n, tuple(gf2.column_ints(BitMatrix(k, tuple(placed)))))
     return EncoderMatrices(
         code=code,
         gprime=gprime,

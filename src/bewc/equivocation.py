@@ -26,6 +26,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional, Sequence
 
 import numpy as np
@@ -38,11 +39,6 @@ from .codes import (CodeSpec, GuardError, derive_seed, enumerate_subspaces, gaus
 # whatever min(k, dim) is, 0.3 s at n = 24 and 6 s at n = 28 (2-vCPU VM).
 RANK_PROFILE_GUARD_N = 28
 MC_BATCH = 1 << 14
-# Words (trials·n) a point must draw before `mc_equivocation` cuts it into
-# slices for a pool.  Two slices against one, per point at n = 15..127
-# (2-vCPU VM): 2^16 words 1.2–1.4x slower, 2^17 0.93–1.06x, 2^18 0.68–0.86x;
-# the threads overlap only the Philox draw, which releases the GIL.
-MC_SLICE_WORDS = 1 << 18
 CI95 = 1.96
 
 
@@ -375,12 +371,13 @@ def check_grid(grid: Sequence[float]) -> None:
 
 
 class ThreadPool:
-    """min(threads, os.cpu_count()) − 1 worker threads for `mc_equivocation`'s
-    slices.  The threads start with the first slice submitted, so a run that
-    samples nothing starts none, and stop on leaving the `with`."""
+    """min(threads, os.cpu_count()) worker threads for `mc_equivocation`'s
+    batches; the calling thread waits on them.  The threads start with the
+    first `map` of at least two items, so a run that samples at most one
+    batch a point starts none, and stop on leaving the `with`."""
 
     def __init__(self, threads: int):
-        self.workers, self._executor = min(threads, os.cpu_count() or 1) - 1, None
+        self.workers, self._executor = min(threads, os.cpu_count() or 1), None
 
     def __enter__(self) -> "ThreadPool":
         return self
@@ -389,27 +386,28 @@ class ThreadPool:
         if self._executor is not None:
             self._executor.shutdown()
 
-    def submit(self, fn, *args):
+    def map(self, fn, items: Sequence):
+        """fn over items, in order; the builtin `map` below two workers or items."""
+        if self.workers < 2 or len(items) < 2:
+            return map(fn, items)
         if self._executor is None:
             from concurrent.futures import ThreadPoolExecutor  # 10 ms, kept out of `import bewc`
             self._executor = ThreadPoolExecutor(self.workers)
-        return self._executor.submit(fn, *args)
+        return self._executor.map(fn, items)
 
 
-def _slice_sums(ent: PatternEntropy, eps: float, seed: int, lo: int, hi: int) -> tuple[int, int]:
-    """(Σh, Σh²) over trials [lo, hi) of a point, lo a multiple of 4: the rows
-    of each batch in the range, drawn from that batch's stream advanced past
-    its rows before lo (`Philox.advance(m)` skips 4m words), in steps of `ent.rows`."""
+def _batch_sums(ent: PatternEntropy, eps: float, seed: int, trials: int,
+                b: int) -> tuple[int, int]:
+    """(Σh, Σh²) over batch b of a point of `trials` trials: its MC_BATCH rows,
+    or the rest in a ragged last batch, drawn from `make_rng(seed, b)` in steps
+    of `ent.rows`."""
+    bits = make_rng(seed, b).bit_generator
+    stop = min(trials - b * MC_BATCH, MC_BATCH)
     s = ss = 0
-    for bindex in range(lo // MC_BATCH, -(-hi // MC_BATCH)):
-        start = max(lo - bindex * MC_BATCH, 0)
-        stop = min(hi - bindex * MC_BATCH, MC_BATCH)
-        bits = make_rng(seed, bindex).bit_generator
-        bits.advance(start * ent.n // 4)
-        for a in range(start, stop, ent.rows):
-            h = ent(pack_erasures(bits.random_raw((min(ent.rows, stop - a), ent.n)), eps))
-            s += int(h.sum())
-            ss += int(h @ h)
+    for a in range(0, stop, ent.rows):
+        h = ent(pack_erasures(bits.random_raw((min(ent.rows, stop - a), ent.n)), eps))
+        s += int(h.sum())
+        ss += int(h @ h)
     return s, ss
 
 
@@ -421,21 +419,16 @@ def mc_equivocation(code: CodeSpec, eps: float, trials: int, seed: int,
     Each trial samples an erasure pattern (each position erased w.p. ε) and
     scores its integer entropy with `ent`, the code's `PatternEntropy` (built
     here if not given).  Batch b, of MC_BATCH trials, draws from its own
-    counter-derived stream; another batch size would change every estimate.
-    With a `pool` and at least MC_SLICE_WORDS words to draw, the trials are
-    cut at multiples of 4 into one slice per thread, the calling thread's
-    first.  A slice draws the words the serial loop gives its rows, from each
-    batch's stream advanced past the rows before it (`_slice_sums`), and
-    returns exact integer sums, so the estimate is bit-identical on any pool;
-    each thread holds one step, at most STEP_WORDS (2 MB), of drawn words.
+    counter-derived stream (`_batch_sums`); another batch size would change
+    every estimate.  With a `pool`, the ⌈trials / MC_BATCH⌉ batches run on its
+    threads.  Each returns exact integer sums, so the estimate is
+    bit-identical on any pool, and each thread holds one step, at most
+    STEP_WORDS (2 MB), of drawn words.
     """
     check_mc_args(eps, trials)
     ent = PatternEntropy(code) if ent is None else ent
-    parts = 1 if pool is None or trials * code.n < MC_SLICE_WORDS else pool.workers + 1
-    cuts = [trials * i // parts // 4 * 4 for i in range(parts)] + [trials]
-    units = [(lo, hi) for lo, hi in zip(cuts, cuts[1:]) if lo < hi]
-    futures = [pool.submit(_slice_sums, ent, eps, seed, lo, hi) for lo, hi in units[1:]]
-    s, ss = map(sum, zip(_slice_sums(ent, eps, seed, *units[0]), *[f.result() for f in futures]))
+    batches, run = range(-(-trials // MC_BATCH)), partial(_batch_sums, ent, eps, seed, trials)
+    s, ss = map(sum, zip(*(map if pool is None else pool.map)(run, batches)))
     mean = s / trials
     var = (trials * ss - s * s) / (trials * (trials - 1))
     stddev = math.sqrt(max(var, 0.0))

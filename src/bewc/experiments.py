@@ -31,7 +31,10 @@ class SessionReport:
     seed: int
 
 
-# Most trials per `simulate_session` chunk: small, so its arrays stay cache-sized.
+# Most trials per `simulate_session` chunk.  Larger chunks were no faster on
+# perfbench `session` and peaked higher (2-vCPU VM, 3 pairs each): `ent.rows`
+# trials read wall_s 0.038–0.040 against 0.037 s and 43.4 against 38.9 MB,
+# 8,192 trials 0.034–0.036 against 0.035–0.036 s and 41.0 against 38.8 MB.
 SESSION_CHUNK = 2048
 
 

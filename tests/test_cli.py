@@ -19,7 +19,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import bewc
-from bewc import cli, codes, experiments
+from bewc import cli, codes, equivocation, experiments
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -335,7 +335,7 @@ def test_mc_outputs_byte_identical(tmp_path, capsys):
 
 
 class _StandInExecutor:
-    """Records each executor the CLI makes and runs its units at once, on the
+    """Records each executor the CLI makes and runs its items at once, on the
     calling thread, so no thread starts."""
 
     made: list = []
@@ -343,10 +343,8 @@ class _StandInExecutor:
     def __init__(self, max_workers):
         self.made.append(max_workers)
 
-    def submit(self, fn, *args):
-        future = concurrent.futures.Future()
-        future.set_result(fn(*args))
-        return future
+    def map(self, fn, items):
+        return [fn(item) for item in items]
 
     def shutdown(self):
         self.made.append("shutdown")
@@ -365,11 +363,11 @@ def test_threads_are_capped_at_the_cpu_count(stand_in_executor, capsys):
     serial = run(args + ["--threads", "1"], capsys)
     assert stand_in_executor == []
     assert run(args + ["--threads", "1000000"], capsys) == serial
-    assert stand_in_executor == [2, "shutdown"]  # min(10^6, 3 CPUs) − 1 workers
+    assert stand_in_executor == [3, "shutdown"]  # min(10^6, 3 CPUs) workers
 
 
 def test_import_leaves_concurrent_futures_unloaded():
-    # `ThreadPool` imports it on its first slice, so the 5–10 ms it costs stay
+    # `ThreadPool` imports it on its first pooled map, so the 5–10 ms it costs stay
     # out of every command that samples nothing.
     path = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
     probe = "import sys, bewc, bewc.cli; print('concurrent.futures' in sys.modules)"
@@ -391,10 +389,18 @@ def test_exact_search_and_simulate_open_no_pool(argv, stand_in_executor, tmp_pat
     assert stand_in_executor == []
 
 
+def test_a_point_of_one_batch_opens_no_pool(stand_in_executor, capsys):
+    # 10^4 trials are one batch of `equivocation.MC_BATCH`, which runs on the
+    # calling thread whatever --threads is.
+    args = ["gap", "--family", "hamming", "--r", "5", "--method", "mc", "--trials", "10000"]
+    assert run(args + ["--threads", "3"], capsys) == run(args, capsys)
+    assert stand_in_executor == []
+
+
 def test_traced_layers_run_on_the_calling_thread(tmp_path, capsys, monkeypatch):
     # perfbench's tracer keeps one span stack and counts calls without a lock,
     # so no function it wraps may run on a pool's worker; the workers only draw
-    # and score slices of `mc_equivocation`.
+    # and score the batches of `mc_equivocation`.
     spec = importlib.util.spec_from_file_location("tracing", REPO / "perfbench" / "tracing.py")
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
@@ -407,12 +413,13 @@ def test_traced_layers_run_on_the_calling_thread(tmp_path, capsys, monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    for name in [*tracing.LAYERS, "equivocation._slice_sums"]:
+    for name in [*tracing.LAYERS, "equivocation._batch_sums"]:
         module = importlib.import_module(f"bewc.{name.split('.')[0]}")
         attr = name.split(".")[1]
         monkeypatch.setattr(module, attr, recording(name, getattr(module, attr)))
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
-    mc = ["--method", "mc", "--trials", "10000"]
+    # Two batches a point, so that the workers run.
+    mc = ["--method", "mc", "--trials", str(2 * equivocation.MC_BATCH)]
     for argv in (["sweep", "--family", "hamming", "--rs", "5", *mc],
                  ["gap", "--family", "simplex", "--r", "5", *mc],
                  # min(k, dim) = 20: each pattern is eliminated on its own.
@@ -420,9 +427,9 @@ def test_traced_layers_run_on_the_calling_thread(tmp_path, capsys, monkeypatch):
                  ["curve", "--family", "hamming", "--r", "5", "--eps", "0.2", "0.6", *mc],
                  ["ensemble", "--n", "31", "--dim", "26", "--alpha", "0.5", "--codes", "2",
                   "--reference-family", "hamming", "--reference-r", "5", "--eps", "0.3",
-                  "--trials", "10000"]):
+                  "--trials", str(2 * equivocation.MC_BATCH)]):
         assert run(argv + ["--threads", "3", "-o", str(tmp_path / "out")], capsys)[0] == 0
-    assert len(threads.pop("equivocation._slice_sums")) == 3  # the caller and two workers
+    assert threading.get_ident() not in threads.pop("equivocation._batch_sums")  # workers only
     assert {"cli.main", "experiments.family_sweep", "experiments.ensemble_study",
             "equivocation.mc_equivocation", "equivocation.curve"} <= set(threads)
     assert all(ids == {threading.get_ident()} for ids in threads.values()), threads

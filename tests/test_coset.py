@@ -42,6 +42,7 @@ def _gprime_cases():
     for seed in range(50):
         n = int(rng.integers(2, 40))
         yield random_code(n, int(rng.integers(1, n)), seed=seed, alpha=float(rng.uniform(0.2, 0.8)))
+    yield random_code(300, 100, seed=1)  # k = 200
 
 
 def test_gprime_is_the_pivot_supported_right_inverse():

@@ -669,33 +669,27 @@ def test_mc_estimates_pinned_on_any_pool(case, pool):
     assert (est.mean.hex(), est.stddev.hex()) == (mean_hex, stddev_hex)
 
 
-SLICE_CODES = {16: lambda: random_code(16, 8, seed=2), 31: lambda: bewc.hamming_base(5),
+BATCH_CODES = {16: lambda: random_code(16, 8, seed=2), 31: lambda: bewc.hamming_base(5),
                127: lambda: bewc.simplex_base(7)}
 
 
-@pytest.mark.parametrize("n", SLICE_CODES)
-def test_slices_sum_the_rows_of_the_serial_batches(n):
-    # A slice [lo, hi), lo a multiple of 4, inside one batch or across batch
-    # edges, sums exactly the entropies of the rows the serial loop draws there.
-    code, eps, seed, trials = SLICE_CODES[n](), 0.3, 9, 40002
+@pytest.mark.parametrize("n", BATCH_CODES)
+def test_batch_sums_are_the_rows_of_each_serial_batch(n):
+    # Batch b sums exactly the entropies of the rows that one draw of the
+    # whole batch from its stream gives, the last batch ragged at 7,234 rows.
+    code, eps, seed, trials = BATCH_CODES[n](), 0.3, 9, 40002
     ent = PatternEntropy(code)
-    h = np.concatenate([
-        ent(eq.pack_erasures(codes.make_rng(seed, b).bit_generator.random_raw(
+    for b, start in enumerate(range(0, trials, eq.MC_BATCH)):
+        h = ent(eq.pack_erasures(codes.make_rng(seed, b).bit_generator.random_raw(
             (min(eq.MC_BATCH, trials - start), n)), eps))
-        for b, start in enumerate(range(0, trials, eq.MC_BATCH))])
-    batch = eq.MC_BATCH
-    for lo, hi in [(0, trials), (4, 8), (8, 13), (batch - 4, batch + 4), (batch, 2 * batch),
-                   (20000, trials), (39996, 40001), (40000, trials)]:
-        assert eq._slice_sums(ent, eps, seed, lo, hi) == (int(h[lo:hi].sum()),
-                                                          int(h[lo:hi] @ h[lo:hi])), (lo, hi)
+        assert eq._batch_sums(ent, eps, seed, trials, b) == (int(h.sum()), int(h @ h)), b
 
 
-@pytest.mark.parametrize("n", SLICE_CODES)
-def test_mc_estimate_is_the_same_on_any_pool(n, pool, monkeypatch):
-    # Every point is cut here, however few its trials: 2 and 5 trials, and
-    # batches of 7,232 and 7,234 rows past two full ones, are no multiple of 4·T.
-    monkeypatch.setattr(eq, "MC_SLICE_WORDS", 0)
-    code = SLICE_CODES[n]()
+@pytest.mark.parametrize("n", BATCH_CODES)
+def test_mc_estimate_is_the_same_on_any_pool(n, pool):
+    # 2 and 5 trials are one batch, on the calling thread; 40,000 and 40,002
+    # are three, the last ragged, on the pool's threads.
+    code = BATCH_CODES[n]()
     for trials in (2, 5, 40000, 40002):
         for eps in (0.0, 0.3, 1.0):
             want = bewc.mc_equivocation(code, eps, trials, seed=6)
@@ -707,10 +701,9 @@ def test_mc_estimate_is_the_same_in_any_step(n, dim, monkeypatch):
     # W = 1 and W = 4 words per bitset, H side and G side; steps of 1 and 3
     # rows against one step per batch.  Batches of 64 keep the test fast: 150
     # trials cross two batch edges, each batch ends on a ragged step of 3, and
-    # the two-thread cut at trial 72 starts a slice between two steps.
+    # two threads run the three batches.
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     monkeypatch.setattr(eq, "MC_BATCH", 64)
-    monkeypatch.setattr(eq, "MC_SLICE_WORDS", 0)
     code, trials = random_code(n, dim, seed=n), 150
     assert PatternEntropy(code).rows == eq.STEP_WORDS // n
     want = bewc.mc_equivocation(code, 0.4, trials, seed=8)
@@ -735,9 +728,10 @@ def test_mc_point_holds_one_step_of_drawn_words():
 
 
 def test_mc_estimate_survives_more_threads_than_cores(monkeypatch):
-    # Seven workers share one kernel and switch every microsecond; a slice
-    # lost, repeated or mixed with another changes the exact sums.
+    # Eight workers share one kernel and switch every microsecond over ten
+    # batches; a batch lost, repeated or mixed with another changes the exact sums.
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(eq, "MC_BATCH", 4096)
     code = bewc.hamming_base(5)
     want = [bewc.mc_equivocation(code, eps, 40000, seed=2) for eps in (0.1, 0.5)]
     interval = sys.getswitchinterval()
@@ -760,14 +754,14 @@ def test_pack_erasures_leaves_the_words_untouched():
 # ---------------------------------------------------------------- curves and gaps
 
 def test_mc_curve_gap_and_sweep_are_the_same_on_any_pool(pool):
-    # 10^4 trials at n = 31 is past MC_SLICE_WORDS, so each point is cut.
-    code, grid = bewc.simplex_base(5), [0.1, 0.5, 0.9]
-    assert (bewc.curve(code, grid, "mc", 10**4, 3, pool=pool)
-            == bewc.curve(code, grid, "mc", 10**4, 3))
-    assert (bewc.achievability_gap(code, "mc", 10**4, 4, pool=pool)
-            == bewc.achievability_gap(code, "mc", 10**4, 4))
-    assert (bewc.family_sweep("hamming", [5, 6], "mc", 10**4, 5, pool=pool)
-            == bewc.family_sweep("hamming", [5, 6], "mc", 10**4, 5))
+    # 2·10^4 trials are two batches, so each point runs on the pool.
+    code, grid, trials = bewc.simplex_base(5), [0.1, 0.5, 0.9], 2 * 10**4
+    assert (bewc.curve(code, grid, "mc", trials, 3, pool=pool)
+            == bewc.curve(code, grid, "mc", trials, 3))
+    assert (bewc.achievability_gap(code, "mc", trials, 4, pool=pool)
+            == bewc.achievability_gap(code, "mc", trials, 4))
+    assert (bewc.family_sweep("hamming", [5, 6], "mc", trials, 5, pool=pool)
+            == bewc.family_sweep("hamming", [5, 6], "mc", trials, 5))
 
 
 def test_mc_curve_builds_one_kernel(monkeypatch):

@@ -296,8 +296,8 @@ def test_ensemble_deterministic():
 
 
 def test_ensemble_is_the_same_on_any_pool(pool):
-    # 10^4 trials at n = 31 is past MC_SLICE_WORDS, so each point is cut.
-    kw = dict(n=31, dim=26, alpha=0.5, num_codes=2, grid=[0.2, 0.6], trials=10**4, seed=5,
+    # 2·10^4 trials are two batches, so each point runs on the pool.
+    kw = dict(n=31, dim=26, alpha=0.5, num_codes=2, grid=[0.2, 0.6], trials=2 * 10**4, seed=5,
               reference=bewc.hamming_base(5))
     a, b = bewc.ensemble_study(**kw), bewc.ensemble_study(**kw, pool=pool)
     assert a.member_curves == b.member_curves and a.reference_curve == b.reference_curve

@@ -81,9 +81,8 @@ def test_cli_outputs_pinned(name, fmt, tmp_path):
 @pytest.mark.parametrize("threads", ["2", "3"])
 @pytest.mark.parametrize("name, fmt", sorted(OUTPUT_PINS))
 def test_cli_outputs_pinned_at_any_thread_count(name, fmt, threads, tmp_path, monkeypatch):
-    # Every Monte Carlo point is cut into slices here, however few its trials.
+    # Every Monte Carlo point of two or more batches runs on the pool here.
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
-    monkeypatch.setattr(eq, "MC_SLICE_WORDS", 0)
     out = tmp_path / f"{name}.{fmt}"
     assert cli.main(PIN_COMMANDS[name] + ["--format", fmt, "-o", str(out),
                                           "--threads", threads]) == 0
