@@ -186,11 +186,11 @@ def gaussian_binomial(n: int, d: int) -> int:
 
 def enumerate_subspaces(n: int, dim: int) -> Iterator[np.ndarray]:
     """Every dim-dimensional subspace of GF(2)^n once, as (dim, ≤ SUBSPACE_BLOCK)
-    arrays of RREF bases, one basis per column: int64 rows below n = 64, Python
-    ints from n = 64 on, where the guard admits only dim 0 and n.  Pivot-column
-    sets come in lexicographic order, then each set's fills of its free entries
-    counted up from 0, fill bit t setting free slot t (row-major).  A shape with
-    over SUBSPACE_ENUM_GUARD subspaces is refused at the first `next`."""
+    int64 arrays of RREF bases, one basis per column, each array of one pivot
+    set (a set with more fills spans several).  Pivot-column sets come in
+    lexicographic order, then each set's fills of its free entries counted up
+    from 0, fill bit t setting free slot t (row-major).  A shape with over
+    SUBSPACE_ENUM_GUARD subspaces, or with n ≥ 64, is refused at the first `next`."""
     # [n choose dim]_2 ≥ 2^(dim·(n−dim)) refuses a huge shape before its count
     # is computed, which takes over 30 s at (8000, 4000).
     if (0 <= dim <= n and dim * (n - dim) >= SUBSPACE_ENUM_GUARD.bit_length()) or (
@@ -199,12 +199,13 @@ def enumerate_subspaces(n: int, dim: int) -> Iterator[np.ndarray]:
         raise GuardError(
             f"the ({n},{dim}) subspaces outnumber the enumeration guard ({SUBSPACE_ENUM_GUARD})"
         )
-    dtype = np.int64 if n < 64 else object  # an int64 holds bits 0..62
+    if n >= 64:
+        raise GuardError(f"an int64 basis row holds at most 63 columns, got n={n}")
     for pivots in combinations(range(n), dim):
         # Free slots: (row, col) with col past the row's pivot and not a pivot.
         slots = [(i, j) for i, p in enumerate(pivots)
                  for j in range(p + 1, n) if j not in pivots]
-        base, size = np.array([1 << p for p in pivots], dtype=dtype)[:, None], 1 << len(slots)
+        base, size = np.array([1 << p for p in pivots], dtype=np.int64)[:, None], 1 << len(slots)
         for lo in range(0, size, SUBSPACE_BLOCK):
             fill = np.arange(lo, min(lo + SUBSPACE_BLOCK, size), dtype=np.int64)
             block = base + np.zeros_like(fill)

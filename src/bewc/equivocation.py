@@ -354,12 +354,13 @@ class McEstimate:
     seed: int
 
 
-def check_mc_args(eps: float, trials: int) -> None:
-    """Reject what no sampler can estimate: fewer than 2 trials, ε outside [0, 1]."""
+def check_mc_args(trials: int, *eps: float) -> None:
+    """Reject what no sampler can estimate: fewer than 2 trials, an ε outside [0, 1]."""
     if trials < 2:
         raise ValueError(f"need at least 2 trials, got {trials}")
-    if not 0.0 <= eps <= 1.0:
-        raise ValueError(f"eps must be in [0, 1], got {eps}")
+    for e in eps:
+        if not 0.0 <= e <= 1.0:
+            raise ValueError(f"eps must be in [0, 1], got {e}")
 
 
 def check_grid(grid: Sequence[float]) -> None:
@@ -425,7 +426,7 @@ def mc_equivocation(code: CodeSpec, eps: float, trials: int, seed: int,
     bit-identical on any pool, and each thread holds one step, at most
     STEP_WORDS (2 MB), of drawn words.
     """
-    check_mc_args(eps, trials)
+    check_mc_args(trials, eps)
     ent = PatternEntropy(code) if ent is None else ent
     batches, run = range(-(-trials // MC_BATCH)), partial(_batch_sums, ent, eps, seed, trials)
     s, ss = map(sum, zip(*(map if pool is None else pool.map)(run, batches)))
@@ -501,6 +502,7 @@ def curve(
         bits = equivocation_bits([coefficients(profile)], grid)[0].tolist()
         points = [CurvePoint(eps=eps, bits=b, rate=b / n) for eps, b in zip(grid, bits)]
     else:
+        check_mc_args(trials)  # before the kernel's tables
         points, ent = [], PatternEntropy(code)
         for i, eps in enumerate(grid):
             est = mc_equivocation(code, eps, trials, derive_seed(seed, "curve", i), pool, ent)

@@ -79,7 +79,7 @@ def simulate_session(code: CodeSpec, eps: float, trials: int, seed: int) -> Sess
     even if fewer), `pack_erasures` decides each erasure on its word as `random`
     would, and each chunk takes one `encode`, one `decode` and one kernel call.
     """
-    eq.check_mc_args(eps, trials)
+    eq.check_mc_args(trials, eps)
     enc = coset.build_encoder(code)
     ent = eq.PatternEntropy(code)
     chunk = max(2, min(SESSION_CHUNK, ent.rows) // 2 * 2)
@@ -153,60 +153,53 @@ def search_count(n: int, dim: int) -> int:
     return count
 
 
-def _class_keys(rows: np.ndarray, n: int, dim: int) -> np.ndarray:
-    """One int64 key per code, from a (count, dim) array of RREF rows: the
-    sorted columns of its smaller side, so that codes with equal keys have
-    equal rank profiles.
+def _class_keys(block: np.ndarray, n: int, dim: int) -> np.ndarray:
+    """One int64 key per code of an `enumerate_subspaces` block, (dim, m) RREF
+    bases of one pivot set: the sorted columns of the code's smaller side, so
+    that codes with equal keys have equal rank profiles.
 
     A code's erasure matroid, and so its rank profile, is fixed by the column
     multiset of G and equally by that of H, as the two matroids are dual.
-    Row i's pivot is its lowest set bit, so G = [I | A] and H = [Aᵀ | I] up to
-    one column order, and the unit columns are shared by every code.  The key
-    is therefore A's dim rows as k-bit words (H's side, k ≤ dim) or A's k
-    columns as dim-bit words (G's side, k > dim), sorted: max(dim, k) words
-    of min(dim, k) bits, dim·k ≤ 42 bits in all, as the budget keeps n ≤ 13.
+    With A the rows' bits at the block's k free columns, G = [I | A] and
+    H = [Aᵀ | I] up to one column order, and every code shares the unit
+    columns.  So the key is A's dim rows as k-bit words (H's side, k ≤ dim)
+    or A's k columns as dim-bit words (G's side, k > dim), sorted: max(dim, k)
+    words of min(dim, k) bits, dim·k ≤ 42 bits in all, as the budget keeps n ≤ 13.
     """
     k = n - dim
-    r = rows.astype(np.uint16)
-    free = np.uint16((1 << n) - 1) & ~np.bitwise_or.reduce(r & -r, axis=1)
-    # Row i of A packs row i's bits at the free columns, left to right;
-    # t counts each code's free columns so far.
-    a = np.zeros(r.shape, dtype=np.uint16)
-    t = np.zeros((len(r), 1), dtype=np.uint16)
-    for j in range(n):
-        f = (free[:, None] >> j) & 1
-        a |= ((r >> j) & f) << t
-        t += f
-    if k > dim:
-        g = np.zeros((len(r), k), dtype=np.uint16)
-        for i in range(dim):
-            g |= ((a[:, i, None] >> np.arange(k, dtype=np.uint16)) & 1) << i
-        a = g
-    a.sort(axis=1)
-    return np.bitwise_or.reduce(a.astype(np.int64) << min(dim, k) * np.arange(a.shape[1]), axis=1)
+    free = np.flatnonzero(~np.bitwise_or.reduce(block[:, 0] & -block[:, 0]) >> np.arange(n) & 1)
+    a = (block.T.astype(np.uint16)[:, :, None] >> free.astype(np.uint16)) & 1  # (m, dim, k)
+    if k <= dim:
+        w = a @ (1 << np.arange(k, dtype=np.uint16))  # (m, dim): H's columns
+    else:
+        w = (1 << np.arange(dim, dtype=np.uint16)) @ a  # (m, k): G's columns
+    w.sort(axis=1)
+    # Each word lands in its own min(dim, k)-bit field, so the sum packs them.
+    return w.astype(np.int64) @ (1 << min(dim, k) * np.arange(w.shape[1]))
 
 
 def exhaustive_search(n: int, dim: int, grid: Sequence[float]) -> SearchResult:
     """Exact curves for every dim-dimensional base code in GF(2)^n.
 
     A rank profile depends on a code only through the column multiset of
-    either side, G or H.  So the search stacks the enumerator's blocks as one
-    (count, dim) array of rows, keys each code by its smaller side's sorted
-    columns (`_class_keys`), groups the keys with one `np.unique` and profiles
-    each class once (from its first code, through `from_generator`) with an
-    O(n·2^n) transform: 330 profiles for the 11,811 (7,4) codes and 330 for
-    the 11,811 (7,3) codes, 13 for the 8,191 (13,12) codes.
-    `equivocation_bits` evaluates the distinct profiles over the grid plus
-    ε = R in one call, the arithmetic that `curve` and `achievability_gap` run
-    for a single code; each code takes its class's row, and argmax and
-    ranking are array operations over all codes.
+    either side, G or H.  So the search keys each code by its smaller side's
+    sorted columns, in one array pass per enumerator block (`_class_keys`),
+    groups the keys with one `np.unique` and profiles each class once (from
+    its first code, through `from_generator`) with an O(n·2^n) transform:
+    330 profiles each for the 11,811 (7,4) and the 11,811 (7,3) codes, 13 for
+    the 8,191 (13,12) codes.  `equivocation_bits` evaluates the distinct
+    profiles over the grid plus ε = R in one call, the arithmetic that `curve`
+    and `achievability_gap` run for a single code; each code takes its class's
+    row, and argmax and ranking are array operations over all codes.
     """
     search_count(n, dim)
     grid = tuple(grid)
     eq.check_grid(grid)
     k = n - dim
-    rows = np.concatenate([block.T for block in codes.enumerate_subspaces(n, dim)])
-    _, first, index = np.unique(_class_keys(rows, n, dim), return_index=True, return_inverse=True)
+    blocks = list(codes.enumerate_subspaces(n, dim))
+    rows = np.concatenate([block.T for block in blocks])
+    keys = np.concatenate([_class_keys(block, n, dim) for block in blocks])
+    _, first, index = np.unique(keys, return_index=True, return_inverse=True)
     coeffs = [eq.coefficients(eq.rank_profile(codes.from_generator(BitMatrix(n, g), "search")))
               for g in map(tuple, rows[first].tolist())]
     bits = eq.equivocation_bits(coeffs, grid + (k / n,))[index]  # gap point appended
@@ -260,6 +253,8 @@ def ensemble_study(
     if num_codes < 1:
         raise ValueError("num_codes must be positive")
     grid = tuple(grid)
+    eq.check_grid(grid)  # before the first member is drawn
+    eq.check_mc_args(trials)
     members = []
     for i in range(num_codes):
         c = codes.random_base(

@@ -524,6 +524,22 @@ def test_bad_arguments_give_one_line(argv, message, capsys):
     assert stderr == message
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--eps", "0.5", "0.2"], "error: grid must be strictly increasing\n"),
+    (["--eps", "0.5", "1.5"], "error: grid values must lie in [0, 1]\n"),
+    (["--trials", "1"], "error: need at least 2 trials, got 1\n"),
+])
+def test_ensemble_refuses_grid_and_trials_before_a_draw(flags, message, monkeypatch, capsys):
+    # A (2000, 1000) member took 0.6 s to draw before these were checked.
+    def no_draw(params):
+        raise AssertionError("a member was drawn before the arguments were checked")
+    monkeypatch.setattr(codes, "random_base", no_draw)
+    rc, stdout, stderr = run(["ensemble", "--n", "2000", "--dim", "1000", "--alpha", "0.5",
+                              "--reference-family", "hamming", "--reference-r", "3", *flags],
+                             capsys)
+    assert (rc, stdout, stderr) == (1, "", message)
+
+
 @pytest.mark.parametrize("n, dim", [(-1, 1), (3, 5), (4, 0), (4, 4)])
 def test_search_rejects_shape_without_code(n, dim, capsys):
     rc, stdout, stderr = run(["search", "--n", str(n), "--dim", str(dim)], capsys)

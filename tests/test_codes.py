@@ -317,12 +317,33 @@ def test_enumerate_order_across_block_edges(n, dim, block, monkeypatch):
     assert enumerated_bases(n, dim) == reference_subspaces(n, dim)
 
 
+@pytest.mark.parametrize("n, dim, block", [(n, d, b) for n, d in [(5, 2), (6, 3), (7, 4)]
+                                           for b in (1, 3, codes.SUBSPACE_BLOCK)]
+                         + [(8, 4, codes.SUBSPACE_BLOCK)])
+def test_enumerate_blocks_hold_one_pivot_set(n, dim, block, monkeypatch):
+    # Every column of a block has the same pivot mask, the OR of its rows'
+    # lowest set bits; a pivot set with more fills than a block spans several.
+    monkeypatch.setattr(codes, "SUBSPACE_BLOCK", block)
+    spans = {}
+    for b in codes.enumerate_subspaces(n, dim):
+        masks = np.bitwise_or.reduce(b & -b, axis=0)
+        assert (masks == masks[0]).all(), (n, dim, block)
+        spans[int(masks[0])] = spans.get(int(masks[0]), 0) + 1
+    if (n, dim) == (8, 4):
+        assert spans[0b1111] == 16  # 2^16 fills of pivots {0, 1, 2, 3}
+
+
 @pytest.mark.parametrize("n", [63, 64, 70])
 def test_enumerate_bases_past_int64(n):
-    # Past 63 columns the guard admits only the empty basis and the identity,
-    # whose pivot bits an int64 cannot hold.
-    assert enumerated_bases(n, 0) == [BitMatrix(n, ())]
-    assert enumerated_bases(n, n) == [identity(n)]
+    # An int64 row holds bits 0..62: at 63 columns the guard admits only the
+    # empty basis and the identity, and from 64 on every shape is refused.
+    if n < 64:
+        assert enumerated_bases(n, 0) == [BitMatrix(n, ())]
+        assert enumerated_bases(n, n) == [identity(n)]
+    else:
+        for dim in (0, n):
+            with pytest.raises(codes.GuardError, match=f"at most 63 columns, got n={n}$"):
+                next(codes.enumerate_subspaces(n, dim))
 
 
 def _row_space(m):

@@ -612,6 +612,14 @@ def test_mc_validates_arguments():
         bewc.mc_equivocation(h3, -0.1, 100, seed=1)
 
 
+def test_mc_curve_refuses_one_trial_before_the_kernel(monkeypatch):
+    def no_kernel(code):
+        raise AssertionError("the kernel was built before trials were checked")
+    monkeypatch.setattr(eq, "PatternEntropy", no_kernel)
+    with pytest.raises(ValueError, match="need at least 2 trials, got 1"):
+        eq.curve(bewc.hamming_base(3), [0.2, 0.5], "mc", trials=1)
+
+
 @pytest.mark.parametrize("eps", [0.0, 5e-324, 2.0**-53, math.nextafter(0.3, 0), 0.3,
                                  math.nextafter(0.3, 1), 0.5, 1 - 2.0**-53, 1.0])
 def test_pack_erasures_matches_generator_random(eps):

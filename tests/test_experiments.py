@@ -249,12 +249,41 @@ def test_exhaustive_search_profiles_each_column_multiset_once(n, dim, classes, m
         assert calls == {"rank_profile": classes, "from_generator": classes}
 
 
+@pytest.mark.parametrize("block", [1, 3])
+@pytest.mark.parametrize("n, dim", [(6, 3), (7, 3), (7, 4)])
+def test_search_is_the_same_across_block_edges(n, dim, block, monkeypatch):
+    # Blocks that end inside a pivot set's fills key their codes on their own.
+    grid = [0.1, 0.3, 0.5, 0.7, 0.9]
+    want = bewc.exhaustive_search(n, dim, grid)
+    monkeypatch.setattr(codes, "SUBSPACE_BLOCK", block)
+    got = bewc.exhaustive_search(n, dim, grid)
+    for field in ("generators", "rates", "gaps"):
+        a, b = getattr(got, field), getattr(want, field)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), field
+    assert got.argmax_per_eps == want.argmax_per_eps
+    assert got.ranking == want.ranking
+
+
+def test_search_8_4_profiles_3876_classes(monkeypatch):
+    # Pivots {0, 1, 2, 3} have 2^16 fills, so they span 16 default blocks;
+    # the 200,787 codes fall into 3,876 keys, each profiled once.
+    profile, calls = eq.rank_profile, []
+
+    def counting(code):
+        calls.append(code)
+        return profile(code)
+    monkeypatch.setattr(eq, "rank_profile", counting)
+    assert bewc.exhaustive_search(8, 4, [0.5]).count == 200787
+    assert len(calls) == 3876
+
+
 @pytest.mark.parametrize("n, dim", [(n, d) for n in range(2, 7) for d in range(1, n)])
 def test_class_keys_never_merge_codes_with_different_profiles(n, dim):
     # Each code's profile by brute force: (|S|, rank of G's columns in S) over
     # every subset S of positions.  Codes that share a key must share it.
     bases = enumerated_bases(n, dim)
-    keys = experiments._class_keys(np.array([g.rows for g in bases]), n, dim)
+    keys = np.concatenate([experiments._class_keys(block, n, dim)
+                           for block in codes.enumerate_subspaces(n, dim)])
     profiles = {}
     for key, g in zip(keys.tolist(), bases):
         cols = gf2.column_ints(g)
