@@ -34,12 +34,13 @@ SUBSPACE_BLOCK = 4096
 # 10^8 entries in all, about 2 s: fifty draws at (1000, 2000).
 RANDOM_RANK_ATTEMPTS = 1000
 RANDOM_DRAW_BUDGET = 10**8
-# Building a code ranks G, then runs rref(G) for its null space.  Each makes
-# up to about dim·n row operations (an XOR or AND of two n-bit ints, ⌈n/64⌉
-# words), so a build costs under about n²·⌈n/64⌉ word operations at any dim.
+# Building a code ranks G, then runs rref(G) for its null space: a rank, an
+# echelon and its back-substitution, each about dim²/2 row operations (an XOR
+# or AND of two n-bit ints, ⌈n/64⌉ words), so a build costs about
+# 1.5·dim²·⌈n/64⌉ word operations, which the budget prices as n²·⌈n/64⌉.
 # At the largest length admitted (n = 2,324; 2-vCPU VM, median of 9 runs)
-# `from_generator` took 1.7 s for a dense random G of 2,316 rows, 0.77 s for
-# one of 1,162 rows and 0.003 s for one all-ones row.
+# `from_generator` took 1.2 s for a dense random G of 2,316 rows, 0.46 s for
+# one of 1,162 rows and 0.001 s for one all-ones row.
 BUILD_WORD_OPS_BUDGET = 2 * 10**8
 
 

@@ -31,9 +31,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import gf2
-from .codes import (CodeSpec, GuardError, derive_seed, enumerate_subspaces, gaussian_binomial,
-                    make_rng)
+from . import codes, gf2
+from .codes import CodeSpec, GuardError, derive_seed, gaussian_binomial, make_rng
 
 # Bounds the real cost of `rank_profile`: O(n·2^n) time in 2^15-entry blocks
 # whatever min(k, dim) is, 0.3 s at n = 24 and 6 s at n = 28 (2-vCPU VM).
@@ -256,7 +255,7 @@ def subcode_supports(code: CodeSpec) -> np.ndarray:
     d = min(code.k, code.dim)
     tally = np.zeros((d + 1, n + 1), dtype=np.int64)
     for j in range(d + 1):
-        for block in enumerate_subspaces(d, j):
+        for block in codes.enumerate_subspaces(d, j):
             support = np.bitwise_or.reduce(words[block], axis=0)  # 0 at j = 0
             weight = _row_weights(support)
             tally[j] += np.bincount(weight, minlength=n + 1)

@@ -86,27 +86,27 @@ def column_ints(m: BitMatrix) -> list[int]:
     return out
 
 
-def masked_rank(vectors: Sequence[int], mask: int) -> int:
-    """GF(2) rank of the vectors[i] whose bit i is set in mask.
-
-    Forward elimination in which any 1 serves as a pivot.  This is the one
-    elimination loop of the package (rref aside): `rank` and the per-pattern
-    entropy kernel's scalar path both run through it.
-    """
-    pivots: dict[int, int] = {}
-    r = 0
+def _echelon(vectors: Sequence[int], mask: int) -> dict[int, int]:
+    """The one elimination loop: an echelon basis of the vectors[i] whose bit i
+    is set in mask, each row keyed by its lowest set bit, its pivot (any 1 may
+    serve).  `masked_rank` counts the rows and `rref` back-substitutes them."""
+    rows: dict[int, int] = {}
     while mask:
         v = vectors[(mask & -mask).bit_length() - 1]
         mask &= mask - 1
         while v:
             low = (v & -v).bit_length() - 1
-            p = pivots.get(low)
+            p = rows.get(low)
             if p is None:
-                pivots[low] = v
-                r += 1
+                rows[low] = v
                 break
             v ^= p
-    return r
+    return rows
+
+
+def masked_rank(vectors: Sequence[int], mask: int) -> int:
+    """GF(2) rank of the vectors[i] whose bit i is set in mask."""
+    return len(_echelon(vectors, mask))
 
 
 def rank(m: BitMatrix) -> int:
@@ -115,27 +115,20 @@ def rank(m: BitMatrix) -> int:
 
 
 def rref(m: BitMatrix) -> tuple[BitMatrix, list[int]]:
-    """Reduced row echelon form and its pivot columns, left to right."""
-    rows = list(m.rows)
-    pivot_cols: list[int] = []
-    pr = 0
-    for col in range(m.cols):
-        mask = 1 << col
-        found = -1
-        for i in range(pr, len(rows)):
-            if rows[i] & mask:
-                found = i
-                break
-        if found < 0:
-            continue
-        rows[pr], rows[found] = rows[found], rows[pr]
-        piv = rows[pr]
-        for i in range(len(rows)):
-            if i != pr and rows[i] & mask:
-                rows[i] ^= piv
-        pivot_cols.append(col)
-        pr += 1
-    return BitMatrix(m.cols, tuple(rows)), pivot_cols
+    """Reduced row echelon form and its pivot columns, left to right: `_echelon`'s
+    rows sorted by pivot, each cleared at the pivots to its right by the finished
+    rows below it, then the dependent rows as zeros."""
+    ech = _echelon(m.rows, (1 << m.nrows) - 1)
+    piv = sorted(ech)
+    rows = [ech[p] for p in piv]
+    bits = [1 << p for p in piv]
+    for i in range(len(rows) - 2, -1, -1):
+        r = rows[i]
+        for j in range(i + 1, len(rows)):
+            if r & bits[j]:
+                r ^= rows[j]
+        rows[i] = r
+    return BitMatrix(m.cols, (*rows, *[0] * (m.nrows - len(rows)))), piv
 
 
 def null_space(m: BitMatrix) -> BitMatrix:

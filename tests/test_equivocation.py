@@ -431,6 +431,21 @@ def test_support_profile_equals_rank_profile(code):
         assert np.array_equal(eq.support_profile(c), bewc.rank_profile(c))
 
 
+def test_support_profile_enumerates_through_the_codes_module(monkeypatch):
+    # A wrapper set on `codes` sees every subcode enumeration, as the
+    # benchmark's tracer does; a name bound at import would miss it.
+    calls = []
+    real = codes.enumerate_subspaces
+
+    def counted(n, dim):
+        calls.append((n, dim))
+        return real(n, dim)
+
+    monkeypatch.setattr(codes, "enumerate_subspaces", counted)
+    eq.support_profile(bewc.hamming_base(5))
+    assert calls == [(5, j) for j in range(6)]
+
+
 @pytest.mark.parametrize("r", range(3, 9))
 def test_simplex_subcode_supports_closed_form(r):
     # The [r choose j]_2 j-dimensional subcodes of the simplex code each have

@@ -104,6 +104,17 @@ def test_rref_idempotent_and_preserves_row_space(m):
     assert row_space(red) == row_space(m)
 
 
+@given(bitmatrix(max_rows=7, max_cols=70))
+def test_rref_is_reduced(m):
+    red, piv = gf2.rref(m)
+    nonzero = red.rows[: len(piv)]
+    assert [(r & -r).bit_length() - 1 for r in nonzero] == piv
+    assert piv == sorted(set(piv))
+    assert all(sum((r >> p) & 1 for r in red.rows) == 1 for p in piv)
+    assert red.rows[len(piv):] == (0,) * (m.nrows - len(piv))
+    assert red.cols == m.cols and row_space(red) == row_space(m)
+
+
 # ---------------------------------------------------------------- null_space
 
 def test_null_space_example_dimension_and_membership():
