@@ -89,15 +89,16 @@ class PatternEntropy:
     the size of a subspace, so its log2 is exact.  With d = min(k, dim) ≤
     SPAN_MAX_DIM, the 2^d words of D are indexed by their coefficient vector
     x and each set of them is a bitset over x, W = max(1, 2^d/64) uint64
-    words.  Z_i = {x : bit i of word x is 0}, and byte j of a mask indexes a
+    words.  Z_i = {x : bit i of word x is 0} is column i of D's complemented
+    word list, read through `gf2.column_ints`, and byte j of a mask indexes a
     (256, W) table whose entry b is the AND of Z_i over the bits i of b (built
     by doubling; entry 0 is all of D).  A pattern's set is the AND of one
     table row per byte, and its size is the popcount of that AND, summed over
     its W words.  The G side stores each table reversed, so that the
-    erased byte picks the entry of its complement.  Positions past n are zero
-    in every word, so they constrain neither side.  When d > SPAN_MAX_DIM,
-    each pattern gets one GF(2) elimination instead, on the cheaper of H_E
-    and G_Ē.
+    erased byte picks the entry of its complement.  Positions past n are one
+    in every complemented word, so they constrain neither side.  When
+    d > SPAN_MAX_DIM, each pattern gets one GF(2) elimination instead, on the
+    cheaper of H_E and G_Ē.
     A call scores its whole batch in one pass; the samplers pass it at most
     `rows` = STEP_WORDS / max(n, W) trials (W = 1 when eliminating).
     """
@@ -112,10 +113,9 @@ class PatternEntropy:
             self.tables = None
             self.cols_h, self.cols_g = gf2.column_ints(code.H), gf2.column_ints(code.G)
             return
-        words = gf2.pack(_smaller_row_space(code), 8 * nbytes)  # (2^d, nbytes)
-        zero = np.unpackbits(~words, axis=1, bitorder="little")  # 1 where word x has a 0
-        z = np.zeros((8 * nbytes, 8 * w), dtype=np.uint8)
-        z[:, : -(-len(words) // 8)] = np.packbits(zero.T, axis=1, bitorder="little")
+        ones = (1 << 8 * nbytes) - 1  # so positions past n are 1 in every complement
+        comp = gf2.BitMatrix(8 * nbytes, tuple(ones ^ c for c in _smaller_row_space(code)))
+        z = gf2.pack(gf2.column_ints(comp), 64 * w)  # row i is Z_i, as a bitset over x
         z = z.view("<u8").reshape(nbytes, 8, w)  # Z_{8j+b} at [j, b]
         self.tables = np.empty((nbytes, 256, w), dtype=np.uint64)
         t = self.tables if self.h_side else self.tables[:, ::-1]  # G: entry b at 255 − b

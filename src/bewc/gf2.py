@@ -5,10 +5,11 @@ is position i, so a row operation is one XOR.  A batch of vectors is an
 (N, ⌈bits/8⌉) uint8 array, one vector per row, with bit j of byte b at
 position 8b + j (the layout of `np.packbits(..., bitorder="little")`);
 `vec_mat_mul` alone computes on batches, from a matrix's `ByteTables`.
-`pack` and `unpack` are the only conversions between the two formats, and
+`pack` and `unpack` are the only conversions between the two formats,
 `to01` and `from01` the only ones to and from '01' strings, whose leftmost
-character is position 0.  Everything here is a pure function or an immutable
-value; nothing mutates its inputs.
+character is position 0, and `column_ints` the one transpose between a
+matrix's rows and its columns.  Everything here is a pure function or an
+immutable value; nothing mutates its inputs.
 
 A matrix with zero rows or zero columns is legal (rank 0); full-rank null
 spaces produce them.
@@ -76,14 +77,10 @@ class BitMatrix:
 
 
 def column_ints(m: BitMatrix) -> list[int]:
-    """Columns of m as packed ints (bit i = row i)."""
-    out = [0] * m.cols
-    for i, r in enumerate(m.rows):
-        while r:  # one step per set bit, lowest first
-            low = r & -r
-            out[low.bit_length() - 1] |= 1 << i
-            r ^= low
-    return out
+    """Columns of m as packed ints (bit i = row i), by one numpy transpose."""
+    bits = np.unpackbits(pack(m.rows, m.cols), axis=1, count=m.cols, bitorder="little")
+    cols = np.ascontiguousarray(bits.T)  # packbits runs 2–3x faster on it than on a view
+    return unpack(np.packbits(cols, axis=1, bitorder="little"))
 
 
 def _echelon(vectors: Sequence[int], mask: int) -> dict[int, int]:

@@ -111,6 +111,21 @@ def test_entropy_tables_every_listed_dimension(d):
             _assert_kernel_matches_generator_formula(c, _sample_masks(rng, n, 40))
 
 
+def test_entropy_tables_read_z_sets_through_column_ints(monkeypatch):
+    # One bit transpose: each Z_i is column i of D's complemented word list,
+    # read through `gf2.column_ints`, not through a transpose of its own.
+    code, calls = bewc.hamming_base(5), []
+    real = gf2.column_ints
+
+    def counted(m):
+        calls.append((m.nrows, m.cols))
+        return real(m)
+
+    monkeypatch.setattr(gf2, "column_ints", counted)
+    assert PatternEntropy(code).tables is not None
+    assert calls == [(32, 32)]  # 2^5 words of C⊥, 4 bytes of positions
+
+
 # ---------------------------------------------------------------- oracle
 
 def test_oracle_example_observation(ex1):

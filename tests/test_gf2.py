@@ -8,9 +8,9 @@ from bewc.gf2 import BitMatrix, from01, pack, to01, unpack
 from conftest import from_strings, identity, mul_transpose, zeros
 
 
-def bitmatrix(max_rows=5, max_cols=8):
-    return st.integers(1, max_rows).flatmap(
-        lambda r: st.integers(1, max_cols).flatmap(
+def bitmatrix(max_rows=5, max_cols=8, min_size=1):
+    return st.integers(min_size, max_rows).flatmap(
+        lambda r: st.integers(min_size, max_cols).flatmap(
             lambda c: st.lists(
                 st.integers(0, (1 << c) - 1), min_size=r, max_size=r
             ).map(lambda rows: BitMatrix(c, tuple(rows)))
@@ -25,8 +25,9 @@ def row_space(m: BitMatrix) -> set[int]:
     return span
 
 
-@given(bitmatrix(max_rows=6, max_cols=70))
+@given(bitmatrix(max_rows=20, max_cols=70, min_size=0))
 def test_column_ints_transposes(m):
+    # Past 8 rows a column spans several packed bytes, past 8 columns a row.
     cols = gf2.column_ints(m)
     assert len(cols) == m.cols
     assert all((cols[j] >> i) & 1 == (r >> j) & 1
