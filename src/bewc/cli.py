@@ -227,9 +227,14 @@ def cmd_search(args) -> int:
         _json(args, count=res.count, min_Ag=float(res.gaps[best]),
               best_generator=gen.row_strings(), ranking_top10=top10)
     else:
-        rows = [(pos, res.gaps[i], " ".join(res.generator(i).row_strings()))
-                for pos, i in enumerate(res.ranking)]
-        _write(args, csv_text(["rank", "Ag", "generator"], rows))
+        # Every generator's '01' rows in one array pass: char j is bit j of a row.
+        order, width = list(res.ranking), res.dim * (res.n + 1)
+        chars = np.full((res.count, res.dim, res.n + 1), ord(" "), dtype=np.uint8)
+        chars[:, :, :-1] = ord("0") | np.unpackbits(res.generators[order, :, None].astype("<i8").view(
+            np.uint8), axis=2, count=res.n, bitorder="little")
+        text = chars.tobytes().decode()
+        gens = [text[i:i + width - 1] for i in range(0, len(text), width)]
+        _write(args, csv_text(["rank", "Ag", "generator"], zip(range(res.count), res.gaps[order], gens)))
     return 0
 
 

@@ -134,8 +134,8 @@ ARGMAX_TIE_TOL = 1e-12
 # Bounds the real cost of `exhaustive_search`, priced as one rank profile
 # over 2^n subsets per subspace, [n choose dim]_2 · 2^n subsets in all.  This
 # over-prices the search, which enumerates every subspace but profiles each
-# column multiset only once.  Every (8, dim) shape fits ((8,4): 5.1·10^7);
-# (20,1) would be 1.1·10^12.
+# profile class once ((8,4): 106).  The budget is kept: every (8, dim) shape
+# fits ((8,4): 5.1·10^7), and (20,1) would be 1.1·10^12.
 SEARCH_SUBSET_BUDGET = 1 << 27
 
 
@@ -155,8 +155,8 @@ def search_count(n: int, dim: int) -> int:
 
 def _class_keys(block: np.ndarray, n: int, dim: int) -> np.ndarray:
     """One int64 key per code of an `enumerate_subspaces` block, (dim, m) RREF
-    bases of one pivot set: the sorted columns of the code's smaller side, so
-    that codes with equal keys have equal rank profiles.
+    bases of one pivot set: the sorted columns of the code's smaller side, a
+    cheap first grouping whose equal keys have equal rank profiles.
 
     A code's erasure matroid, and so its rank profile, is fixed by the column
     multiset of G and equally by that of H, as the two matroids are dual.
@@ -178,19 +178,38 @@ def _class_keys(block: np.ndarray, n: int, dim: int) -> np.ndarray:
     return w.astype(np.int64) @ (1 << min(dim, k) * np.arange(w.shape[1]))
 
 
+def _support_keys(keys: np.ndarray, n: int, dim: int) -> np.ndarray:
+    """One row per `_class_keys` key: D's n columns, the key's n − d words of
+    d = min(dim, k) bits and the d unit columns, counted inside each subspace V
+    of GF(2)^d with dim V < d as m(V), sorted within each dim V.  A subcode U of
+    D has |supp U| = n − m(U^⊥), so equal rows are equal `subcode_supports`
+    tables, which fix the rank profile (Wei 1991; Kløve 1992), and vice versa."""
+    d = min(dim, n - dim)
+    words = keys[:, None] >> d * np.arange(n - d) & (1 << d) - 1
+    hist = (words[:, :, None] == np.arange(1 << d)).sum(axis=1)  # columns equal to each v
+    hist[:, 1 << np.arange(d)] += 1
+    m = []
+    for u in range(d):
+        for block in codes.enumerate_subspaces(d, u):
+            span = np.zeros((1, block.shape[1]), dtype=np.int64)  # V's 2^u words per column
+            for row in block:
+                span = np.concatenate([span, span ^ row])
+            m.append(hist[:, span].sum(axis=1) + u * (n + 1))  # the offset sorts each u apart
+    return np.sort(np.concatenate(m, axis=1), axis=1)
+
+
 def exhaustive_search(n: int, dim: int, grid: Sequence[float]) -> SearchResult:
     """Exact curves for every dim-dimensional base code in GF(2)^n.
 
-    A rank profile depends on a code only through the column multiset of
-    either side, G or H.  So the search keys each code by its smaller side's
-    sorted columns, in one array pass per enumerator block (`_class_keys`),
-    groups the keys with one `np.unique` and profiles each class once (from
-    its first code, through `from_generator`) with an O(n·2^n) transform:
-    330 profiles each for the 11,811 (7,4) and the 11,811 (7,3) codes, 13 for
-    the 8,191 (13,12) codes.  `equivocation_bits` evaluates the distinct
-    profiles over the grid plus ε = R in one call, the arithmetic that `curve`
-    and `achievability_gap` run for a single code; each code takes its class's
-    row, and argmax and ranking are array operations over all codes.
+    The search keys each code by its smaller side's sorted columns, in one
+    array pass per enumerator block (`_class_keys`), and groups the keys with
+    one `np.unique`.  A second `np.unique` merges the key classes with equal
+    subcode support tables (`_support_keys`), which have equal profiles, and
+    profiles each merged class once, from its first code, with an O(n·2^n)
+    transform: 43 profiles each for the 11,811 (7,4) and the 11,811 (7,3)
+    codes, 13 for the 8,191 (13,12) codes.  `equivocation_bits` evaluates them
+    over the grid plus ε = R in one call, as `curve` and `achievability_gap`
+    do; argmax works on the class rows, and each code takes its class's row.
     """
     search_count(n, dim)
     grid = tuple(grid)
@@ -200,15 +219,16 @@ def exhaustive_search(n: int, dim: int, grid: Sequence[float]) -> SearchResult:
     rows = np.concatenate([block.T for block in blocks])
     keys = np.concatenate([_class_keys(block, n, dim) for block in blocks])
     _, first, index = np.unique(keys, return_index=True, return_inverse=True)
+    _, merged, inverse = np.unique(_support_keys(keys[first], n, dim), axis=0,
+                                   return_index=True, return_inverse=True)
+    first, index = first[merged], inverse.ravel()[index]
     coeffs = [eq.coefficients(eq.rank_profile(codes.from_generator(BitMatrix(n, g), "search")))
               for g in map(tuple, rows[first].tolist())]
-    bits = eq.equivocation_bits(coeffs, grid + (k / n,))[index]  # gap point appended
-    bits /= n
-    rates = bits[:, :-1]
-    gaps = k / n - bits[:, -1]
-    top = rates.max(axis=0)
-    argmax = tuple(tuple(np.flatnonzero(rates[:, j] >= top[j] - ARGMAX_TIE_TOL).tolist())
-                   for j in range(len(grid)))
+    bits = eq.equivocation_bits(coeffs, grid + (k / n,)) / n  # gap point appended
+    rates = bits[index, :-1]
+    gaps = k / n - bits[index, -1]
+    hit = bits[:, :-1] >= bits[:, :-1].max(axis=0) - ARGMAX_TIE_TOL
+    argmax = tuple(tuple(np.flatnonzero(hit[index, j]).tolist()) for j in range(len(grid)))
     # Ties in A_g break by the lexicographically smallest canonical generator.
     order = tuple(np.lexsort((*rows.T[::-1], gaps)).tolist())
     return SearchResult(

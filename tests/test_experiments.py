@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -227,12 +228,20 @@ def test_exhaustive_search_indices_are_python_ints():
     assert sorted(res.ranking) == list(range(res.count))
 
 
-@pytest.mark.parametrize("n, dim, classes", [(7, 4, 330), (7, 3, 330), (13, 12, 13)])
-def test_exhaustive_search_profiles_each_column_multiset_once(n, dim, classes, monkeypatch):
-    def side(g):  # the smaller side: H when k ≤ dim, else G
-        return codes.from_generator(g).H if n - dim <= dim else g
-    assert classes == len({tuple(sorted(gf2.column_ints(side(g))))
-                           for g in enumerated_bases(n, dim)})
+def distinct_profiles(n, dim):
+    """The number of distinct rank profiles among all (n, dim) codes, counted
+    over one code per `_class_keys` key: codes that share a column key share
+    a profile (`test_class_keys_never_merge_codes_with_different_profiles`)."""
+    blocks = list(codes.enumerate_subspaces(n, dim))
+    rows = np.concatenate([block.T for block in blocks])
+    keys = np.concatenate([experiments._class_keys(block, n, dim) for block in blocks])
+    _, first = np.unique(keys, return_index=True)
+    return len({eq.rank_profile(codes.from_generator(gf2.BitMatrix(n, tuple(g)))).tobytes()
+                for g in rows[first].tolist()})
+
+
+def counting_calls(monkeypatch):
+    """Count `rank_profile` and `from_generator` calls, as the search makes them."""
     calls = {"rank_profile": 0, "from_generator": 0}
 
     def counting(name, fn):
@@ -243,10 +252,40 @@ def test_exhaustive_search_profiles_each_column_multiset_once(n, dim, classes, m
 
     monkeypatch.setattr(eq, "rank_profile", counting("rank_profile", eq.rank_profile))
     monkeypatch.setattr(codes, "from_generator", counting("from_generator", codes.from_generator))
+    return calls
+
+
+@pytest.mark.parametrize("n, dim", [(6, 3), (7, 4), (7, 3), (13, 12)])
+def test_exhaustive_search_profiles_each_profile_class_once(n, dim, monkeypatch):
+    # (6,3) 22, (7,4) 43, (7,3) 43 and (13,12) 13 profiles.
+    classes = distinct_profiles(n, dim)
+    calls = counting_calls(monkeypatch)
     for _ in range(2):  # a second identical search profiles as much: no state is kept
         calls.update(rank_profile=0, from_generator=0)
         bewc.exhaustive_search(n, dim, [0.5])
         assert calls == {"rank_profile": classes, "from_generator": classes}
+
+
+@pytest.mark.parametrize("n, dim", [(6, 3), (7, 3), (7, 4)])
+def test_search_is_the_same_without_the_support_merge(n, dim, monkeypatch):
+    # Each column key its own class: one profile per column multiset of the
+    # smaller side (H when k ≤ dim, else G), and the same result.
+    def side(g):
+        return codes.from_generator(g).H if n - dim <= dim else g
+    multisets = {tuple(sorted(gf2.column_ints(side(g)))) for g in enumerated_bases(n, dim)}
+    assert len(multisets) > distinct_profiles(n, dim)
+    want = bewc.exhaustive_search(n, dim, eq.DEFAULT_GRID)
+    monkeypatch.setattr(experiments, "_support_keys", lambda keys, n, dim: keys[:, None])
+    calls = counting_calls(monkeypatch)
+    got = bewc.exhaustive_search(n, dim, eq.DEFAULT_GRID)
+    assert calls == {"rank_profile": len(multisets), "from_generator": len(multisets)}
+    for field in dataclasses.fields(experiments.SearchResult):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        if isinstance(b, np.ndarray):
+            assert a.dtype == b.dtype and a.shape == b.shape, field.name
+            assert a.tobytes() == b.tobytes(), field.name
+        else:
+            assert a == b, field.name
 
 
 @pytest.mark.parametrize("block", [1, 3])
@@ -264,31 +303,31 @@ def test_search_is_the_same_across_block_edges(n, dim, block, monkeypatch):
     assert got.ranking == want.ranking
 
 
-def test_search_8_4_profiles_3876_classes(monkeypatch):
+def test_search_8_4_profiles_each_profile_class_once(monkeypatch):
     # Pivots {0, 1, 2, 3} have 2^16 fills, so they span 16 default blocks;
-    # the 200,787 codes fall into 3,876 keys, each profiled once.
-    profile, calls = eq.rank_profile, []
-
-    def counting(code):
-        calls.append(code)
-        return profile(code)
-    monkeypatch.setattr(eq, "rank_profile", counting)
+    # the 200,787 codes fall into 3,876 column keys and 106 profile classes.
+    classes = distinct_profiles(8, 4)
+    calls = counting_calls(monkeypatch)
     assert bewc.exhaustive_search(8, 4, [0.5]).count == 200787
-    assert len(calls) == 3876
+    assert calls == {"rank_profile": classes, "from_generator": classes}
 
 
 @pytest.mark.parametrize("n, dim", [(n, d) for n in range(2, 7) for d in range(1, n)])
 def test_class_keys_never_merge_codes_with_different_profiles(n, dim):
     # Each code's profile by brute force: (|S|, rank of G's columns in S) over
-    # every subset S of positions.  Codes that share a key must share it.
+    # every subset S of positions.  Codes that share a column key or a merged
+    # class must share it, and codes that share it must share a merged class.
     bases = enumerated_bases(n, dim)
     keys = np.concatenate([experiments._class_keys(block, n, dim)
                            for block in codes.enumerate_subspaces(n, dim)])
-    profiles = {}
-    for key, g in zip(keys.tolist(), bases):
+    merged = map(tuple, experiments._support_keys(keys, n, dim).tolist())
+    by_key, by_class, by_profile = {}, {}, {}
+    for key, cls, g in zip(keys.tolist(), merged, bases):
         cols = gf2.column_ints(g)
-        profile = sorted((s.bit_count(), gf2.masked_rank(cols, s)) for s in range(1 << n))
-        assert profiles.setdefault(key, profile) == profile, (n, dim, g)
+        profile = tuple(sorted((s.bit_count(), gf2.masked_rank(cols, s)) for s in range(1 << n)))
+        assert by_key.setdefault(key, profile) == profile, (n, dim, g)
+        assert by_class.setdefault(cls, profile) == profile, (n, dim, g)
+        assert by_profile.setdefault(profile, cls) == cls, (n, dim, g)
 
 
 # ---------------------------------------------------------------- ensembles
