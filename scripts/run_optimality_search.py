@@ -17,11 +17,12 @@ def run(n: int, dim: int, family_code, outdir: Path) -> None:
     res = bewc.exhaustive_search(n, dim, eq.DEFAULT_GRID)
     canon = codes.canonical_generator(family_code.G)
     idx = next(i for i in range(res.count) if res.generator(i) == canon)
-    everywhere = all(idx in s for s in res.argmax_per_eps)
+    everywhere = all(res.classes[idx] in s for s in res.argmax_classes)
     print(f"({n},{dim}): {res.count} codes; {family_code.name} argmax at every eps: "
           f"{everywhere}; its Ag {res.gaps[idx]:.5f} vs min {res.gaps.min():.5f}")
     out = outdir / f"search_{n}_{dim}_rates.csv"
-    rows = [[";".join(res.generator(i).row_strings()), *res.rates[i]] for i in range(res.count)]
+    rows = [[";".join(res.generator(i).row_strings()), *res.class_rates[res.classes[i]]]
+            for i in range(res.count)]
     out.write_text(cli.csv_text(["generator", *eq.DEFAULT_GRID], rows))
     print(f"wrote {out}")
 

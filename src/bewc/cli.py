@@ -21,13 +21,14 @@ from typing import Any, Iterable, Optional, Sequence
 
 import numpy as np
 
-from . import codes, coset, equivocation as eq, experiments
+from . import codes, coset, equivocation as eq, experiments, gf2
 from .codes import CodeError, CodeSpec, GuardError, RandomCodeParams
 
 DEFAULT_SEED = 0x5EC0DE
 OUTPUT_DIR_ENV = "BEWC_OUTPUT_DIR"
 # What a command may hold across its eps grid: a point's curve point and output
-# row measured 0.5-0.8 KB, a float64 entry is 8 B.  (8,4) search at 99: 160 MB.
+# row measured 0.5-0.8 KB, a float64 entry is 8 B.  A search point is priced at
+# 8 B per code, a bound on its class rows (classes ≤ codes): (8,4) at 99, 160 MB.
 GRID_BYTES_BUDGET = 1 << 30
 POINT_BYTES = 1 << 10
 
@@ -215,7 +216,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_search(args) -> int:
-    rates = 8 * experiments.search_count(args.n, args.dim)  # one float64 per code
+    rates = 8 * experiments.search_count(args.n, args.dim)  # 8 B per code bounds a row per class
     res = experiments.exhaustive_search(args.n, args.dim, _grid(args, POINT_BYTES + rates))
     best = res.ranking[0]
     gen = res.generator(best)
@@ -227,13 +228,8 @@ def cmd_search(args) -> int:
         _json(args, count=res.count, min_Ag=float(res.gaps[best]),
               best_generator=gen.row_strings(), ranking_top10=top10)
     else:
-        # Every generator's '01' rows in one array pass: char j is bit j of a row.
-        order, width = list(res.ranking), res.dim * (res.n + 1)
-        chars = np.full((res.count, res.dim, res.n + 1), ord(" "), dtype=np.uint8)
-        chars[:, :, :-1] = ord("0") | np.unpackbits(res.generators[order, :, None].astype("<i8").view(
-            np.uint8), axis=2, count=res.n, bitorder="little")
-        text = chars.tobytes().decode()
-        gens = [text[i:i + width - 1] for i in range(0, len(text), width)]
+        order = list(res.ranking)
+        gens = gf2.to01_rows(res.generators[order], res.n)
         _write(args, csv_text(["rank", "Ag", "generator"], zip(range(res.count), res.gaps[order], gens)))
     return 0
 

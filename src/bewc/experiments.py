@@ -116,9 +116,10 @@ class SearchResult:
     dim: int
     grid: tuple[float, ...]
     generators: np.ndarray  # (num_codes, dim) int64 RREF rows, enumeration order; see generator
-    rates: np.ndarray  # shape (num_codes, len(grid)), equivocation rates
+    classes: np.ndarray  # (num_codes,) code i's profile class, its row of class_rates
+    class_rates: np.ndarray  # shape (num_classes, len(grid)), equivocation rates per class
     gaps: np.ndarray  # A_g per code
-    argmax_per_eps: tuple[tuple[int, ...], ...]  # Python-int code indices, per grid point
+    argmax_classes: tuple[tuple[int, ...], ...]  # Python-int class indices at the max, per point
     ranking: tuple[int, ...]  # Python-int code indices by ascending A_g, then generator
 
     @property
@@ -209,7 +210,8 @@ def exhaustive_search(n: int, dim: int, grid: Sequence[float]) -> SearchResult:
     transform: 43 profiles each for the 11,811 (7,4) and the 11,811 (7,3)
     codes, 13 for the 8,191 (13,12) codes.  `equivocation_bits` evaluates them
     over the grid plus ε = R in one call, as `curve` and `achievability_gap`
-    do; argmax works on the class rows, and each code takes its class's row.
+    do.  The result holds one rate row per class, each code's class and the
+    argmax classes; only the generators, gaps and ranking are per code.
     """
     search_count(n, dim)
     grid = tuple(grid)
@@ -225,22 +227,13 @@ def exhaustive_search(n: int, dim: int, grid: Sequence[float]) -> SearchResult:
     coeffs = [eq.coefficients(eq.rank_profile(codes.from_generator(BitMatrix(n, g), "search")))
               for g in map(tuple, rows[first].tolist())]
     bits = eq.equivocation_bits(coeffs, grid + (k / n,)) / n  # gap point appended
-    rates = bits[index, :-1]
-    gaps = k / n - bits[index, -1]
-    hit = bits[:, :-1] >= bits[:, :-1].max(axis=0) - ARGMAX_TIE_TOL
-    argmax = tuple(tuple(np.flatnonzero(hit[index, j]).tolist()) for j in range(len(grid)))
+    rates, gaps = bits[:, :-1], k / n - bits[index, -1]
+    hit = rates >= rates.max(axis=0) - ARGMAX_TIE_TOL
+    argmax = tuple(tuple(np.flatnonzero(col).tolist()) for col in hit.T)
     # Ties in A_g break by the lexicographically smallest canonical generator.
     order = tuple(np.lexsort((*rows.T[::-1], gaps)).tolist())
-    return SearchResult(
-        n=n,
-        dim=dim,
-        grid=grid,
-        generators=rows,
-        rates=rates,
-        gaps=gaps,
-        argmax_per_eps=argmax,
-        ranking=order,
-    )
+    return SearchResult(n=n, dim=dim, grid=grid, generators=rows, classes=index,
+                        class_rates=rates, gaps=gaps, argmax_classes=argmax, ranking=order)
 
 
 @dataclass(frozen=True)

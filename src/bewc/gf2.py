@@ -6,10 +6,11 @@ is position i, so a row operation is one XOR.  A batch of vectors is an
 position 8b + j (the layout of `np.packbits(..., bitorder="little")`);
 `vec_mat_mul` alone computes on batches, from a matrix's `ByteTables`.
 `pack` and `unpack` are the only conversions between the two formats,
-`to01` and `from01` the only ones to and from '01' strings, whose leftmost
-character is position 0, and `column_ints` the one transpose between a
-matrix's rows and its columns.  Everything here is a pure function or an
-immutable value; nothing mutates its inputs.
+`to01` (and `to01_rows`, its array pass over many words) and `from01` the
+only ones to and from '01' strings, whose leftmost character is position 0,
+and `column_ints` the one transpose between a matrix's rows and its columns.
+Everything here is a pure function or an immutable value; nothing mutates
+its inputs.
 
 A matrix with zero rows or zero columns is legal (rank 0); full-rank null
 spaces produce them.
@@ -32,6 +33,16 @@ def to01(word: int, length: int) -> str:
     if word < 0 or word >> length:
         raise DimensionError(f"word has bits beyond its length {length}")
     return format(word | 1 << length, "b")[:0:-1]  # the marker bit keeps leading zeros
+
+
+def to01_rows(words: np.ndarray, length: int) -> list[str]:
+    """Each row of an (N, m) int64 array of length-bit words, length ≤ 64, as
+    its m `to01` strings joined by spaces, in one array pass."""
+    chars = np.full((*words.shape, length + 1), ord(" "), dtype=np.uint8)
+    chars[..., :-1] = ord("0") | np.unpackbits(words[..., None].astype("<i8").view(np.uint8),
+                                               axis=-1, count=length, bitorder="little")
+    text, width = chars.tobytes().decode(), words.shape[1] * (length + 1)
+    return [text[i:i + width - 1] for i in range(0, len(text), width)]
 
 
 def from01(s: str) -> int:

@@ -142,7 +142,7 @@ def test_criterion_5_exhaustive_optimality(search74, search73):
     checks = []
     for res, fam in [(search74, bewc.hamming_base(3)), (search73, bewc.simplex_base(3))]:
         idx = _family_index(res, fam)
-        in_argmax = all(idx in s for s in res.argmax_per_eps)
+        in_argmax = all(res.classes[idx] in s for s in res.argmax_classes)
         min_gap = res.gaps.min()
         minimizes = res.gaps[idx] <= min_gap + 1e-12
         checks.append((res.count == 11811, in_argmax, minimizes))
@@ -231,9 +231,10 @@ def test_criterion_9_bounds_monotonicity_concavity(exact_curves, search74, searc
         details.append(f"{name}: bound={b} monotone={m} concave={c}")
     for res, label in [(search74, "(7,4)"), (search73, "(7,3)")]:
         bound = np.minimum(GRID, (res.n - res.dim) / res.n)
-        b = bool(np.all(res.rates <= bound[None, :] + 1e-9))
-        m = bool(np.all(np.diff(res.rates, axis=1) >= -1e-12))
-        c = bool(np.all(np.diff(res.rates, 2, axis=1) <= 1e-9))
+        rates = res.class_rates[res.classes]
+        b = bool(np.all(rates <= bound[None, :] + 1e-9))
+        m = bool(np.all(np.diff(rates, axis=1) >= -1e-12))
+        c = bool(np.all(np.diff(rates, 2, axis=1) <= 1e-9))
         ok &= b and m and c
         details.append(f"all {label} curves: bound={b} monotone={m} concave={c}")
     assert report(9, ok, "; ".join(details))

@@ -145,14 +145,15 @@ def test_exhaustive_search_small():
     grid = [0.1, 0.3, 0.5, 0.7, 0.9]
     res = bewc.exhaustive_search(4, 2, grid)
     assert res.count == codes.gaussian_binomial(4, 2) == 35
-    assert res.rates.shape == (35, 5)
+    assert res.classes.shape == (35,) and res.class_rates.shape == (res.classes.max() + 1, 5)
+    rates = res.class_rates[res.classes]
     # Every curve respects the min(eps, R) bound.
     bound = np.minimum(grid, 2 / 4)
-    assert np.all(res.rates <= bound + 1e-9)
+    assert np.all(rates <= bound + 1e-9)
     # argmax sets actually achieve the columnwise max.
-    for j, s in enumerate(res.argmax_per_eps):
-        top = res.rates[:, j].max()
-        assert all(res.rates[i, j] >= top - 1e-12 for i in s)
+    for j, s in enumerate(res.argmax_classes):
+        top = rates[:, j].max()
+        assert all(res.class_rates[c, j] >= top - 1e-12 for c in s)
     # Ranking is sorted by gap.
     gaps = [res.gaps[i] for i in res.ranking]
     assert gaps == sorted(gaps)
@@ -185,7 +186,8 @@ def test_exhaustive_search_matches_curve_and_gap_bit_for_bit():
     assert res.count == 155
     for i in range(res.count):
         code = codes.from_generator(res.generator(i))
-        assert np.array_equal(res.rates[i], bewc.curve(code, eq.DEFAULT_GRID, "exact").rates())
+        assert np.array_equal(res.class_rates[res.classes[i]],
+                              bewc.curve(code, eq.DEFAULT_GRID, "exact").rates())
         assert res.gaps[i] == bewc.achievability_gap(code, "exact").gap
 
 
@@ -201,12 +203,13 @@ def test_exhaustive_search_matches_per_code_profiles(n, dim):
               for i in range(res.count)]
     bits = eq.equivocation_bits(coeffs, grid + ((n - dim) / n,)) / n
     rates, gaps = bits[:, :-1], (n - dim) / n - bits[:, -1]
-    assert res.rates.tobytes() == rates.tobytes()
+    assert res.class_rates[res.classes].tobytes() == rates.tobytes()
     assert res.gaps.tobytes() == gaps.tobytes()
     tops = rates.max(axis=0)
-    assert res.argmax_per_eps == tuple(
-        tuple(np.flatnonzero(rates[:, j] >= tops[j] - experiments.ARGMAX_TIE_TOL))
-        for j in range(len(grid)))
+    for j, s in enumerate(res.argmax_classes):
+        assert list(s) == sorted(set(s))
+        assert np.isin(res.classes, s).tolist() == (
+            rates[:, j] >= tops[j] - experiments.ARGMAX_TIE_TOL).tolist()
     assert res.ranking == tuple(
         sorted(range(res.count), key=lambda i: (gaps[i], res.generator(i).rows)))
 
@@ -223,9 +226,20 @@ def test_exhaustive_search_generators_are_enumeration_rows(n, dim):
 
 def test_exhaustive_search_indices_are_python_ints():
     res = bewc.exhaustive_search(5, 2, [0.2, 0.4, 0.6])
-    assert all(type(i) is int for s in res.argmax_per_eps for i in s)
+    assert all(type(c) is int for s in res.argmax_classes for c in s)
     assert all(type(i) is int for i in res.ranking)
     assert sorted(res.ranking) == list(range(res.count))
+
+
+def per_code(res):
+    """A search result's fields with its classes expanded to the codes: each
+    code's rate row, and at each grid point the codes whose class is at the max."""
+    facts = {f.name: getattr(res, f.name) for f in dataclasses.fields(res)
+             if f.name not in ("classes", "class_rates", "argmax_classes")}
+    facts["rates"] = res.class_rates[res.classes]
+    facts["argmax_codes"] = tuple(tuple(np.flatnonzero(np.isin(res.classes, s)).tolist())
+                                  for s in res.argmax_classes)
+    return facts
 
 
 def distinct_profiles(n, dim):
@@ -279,13 +293,15 @@ def test_search_is_the_same_without_the_support_merge(n, dim, monkeypatch):
     calls = counting_calls(monkeypatch)
     got = bewc.exhaustive_search(n, dim, eq.DEFAULT_GRID)
     assert calls == {"rank_profile": len(multisets), "from_generator": len(multisets)}
-    for field in dataclasses.fields(experiments.SearchResult):
-        a, b = getattr(got, field.name), getattr(want, field.name)
+    got, want = per_code(got), per_code(want)
+    assert got.keys() == want.keys()
+    for name, b in want.items():
+        a = got[name]
         if isinstance(b, np.ndarray):
-            assert a.dtype == b.dtype and a.shape == b.shape, field.name
-            assert a.tobytes() == b.tobytes(), field.name
+            assert a.dtype == b.dtype and a.shape == b.shape, name
+            assert a.tobytes() == b.tobytes(), name
         else:
-            assert a == b, field.name
+            assert a == b, name
 
 
 @pytest.mark.parametrize("block", [1, 3])
@@ -296,10 +312,10 @@ def test_search_is_the_same_across_block_edges(n, dim, block, monkeypatch):
     want = bewc.exhaustive_search(n, dim, grid)
     monkeypatch.setattr(codes, "SUBSPACE_BLOCK", block)
     got = bewc.exhaustive_search(n, dim, grid)
-    for field in ("generators", "rates", "gaps"):
+    for field in ("generators", "classes", "class_rates", "gaps"):
         a, b = getattr(got, field), getattr(want, field)
-        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), field
-    assert got.argmax_per_eps == want.argmax_per_eps
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), field
+    assert got.argmax_classes == want.argmax_classes
     assert got.ranking == want.ranking
 
 
@@ -308,8 +324,23 @@ def test_search_8_4_profiles_each_profile_class_once(monkeypatch):
     # the 200,787 codes fall into 3,876 column keys and 106 profile classes.
     classes = distinct_profiles(8, 4)
     calls = counting_calls(monkeypatch)
-    assert bewc.exhaustive_search(8, 4, [0.5]).count == 200787
+    res = bewc.exhaustive_search(8, 4, [0.5])
+    assert res.count == 200787 and res.class_rates.shape == (classes, 1) == (106, 1)
     assert calls == {"rank_profile": classes, "from_generator": classes}
+
+
+def test_exhaustive_search_holds_no_per_code_rows():
+    # One rate row per profile class, no (codes, grid) array and no per-code
+    # argmax tuple: the call peaks near 1.6 MB, and a float64 row per code
+    # alone would be 11,811 × 99 × 8 B = 9.4 MB.
+    tracemalloc.start()
+    try:
+        res = bewc.exhaustive_search(7, 4, eq.DEFAULT_GRID)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.class_rates.shape == (43, len(eq.DEFAULT_GRID))
+    assert peak < 4 << 20, peak
 
 
 @pytest.mark.parametrize("n, dim", [(n, d) for n in range(2, 7) for d in range(1, n)])

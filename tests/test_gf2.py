@@ -201,6 +201,13 @@ def test_to01_from01_round_trip():
     assert from01("0010") == 0b0100 and to01(0b0100, 4) == "0010"  # position 0 leftmost
 
 
+@pytest.mark.parametrize("length", [1, 8, 13, 63])
+def test_to01_rows_joins_each_rows_to01_strings(length):
+    words = np.random.default_rng(length).integers(0, 1 << length, size=(5, 3), dtype=np.int64)
+    assert gf2.to01_rows(words, length) == [" ".join(to01(w, length) for w in row)
+                                            for row in words.tolist()]
+
+
 @pytest.mark.parametrize("word", [1 << 3, -1])
 def test_to01_refuses_a_word_beyond_its_length(word):
     with pytest.raises(gf2.DimensionError):
