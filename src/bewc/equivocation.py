@@ -35,7 +35,7 @@ from . import codes, gf2
 from .codes import CodeSpec, GuardError, derive_seed, gaussian_binomial, make_rng
 
 # Bounds the real cost of `rank_profile`: O(n·2^n) time in 2^15-entry blocks
-# whatever min(k, dim) is, 0.3 s at n = 24 and 6 s at n = 28 (2-vCPU VM).
+# whatever min(k, dim) is, 0.17 s at n = 24 and 2.4 s at n = 28 (2-vCPU VM).
 RANK_PROFILE_GUARD_N = 28
 MC_BATCH = 1 << 14
 CI95 = 1.96
@@ -90,7 +90,7 @@ class PatternEntropy:
     SPAN_MAX_DIM, the 2^d words of D are indexed by their coefficient vector
     x and each set of them is a bitset over x, W = max(1, 2^d/64) uint64
     words.  Z_i = {x : bit i of word x is 0} is column i of D's complemented
-    word list, read through `gf2.column_ints`, and byte j of a mask indexes a
+    word list, read through `gf2.transpose`, and byte j of a mask indexes a
     (256, W) table whose entry b is the AND of Z_i over the bits i of b (built
     by doubling; entry 0 is all of D).  A pattern's set is the AND of one
     table row per byte, and its size is the popcount of that AND, summed over
@@ -113,10 +113,9 @@ class PatternEntropy:
             self.tables = None
             self.cols_h, self.cols_g = gf2.column_ints(code.H), gf2.column_ints(code.G)
             return
-        ones = (1 << 8 * nbytes) - 1  # so positions past n are 1 in every complement
-        comp = gf2.BitMatrix(8 * nbytes, tuple(ones ^ c for c in _smaller_row_space(code)))
-        z = gf2.pack(gf2.column_ints(comp), 64 * w)  # row i is Z_i, as a bitset over x
-        z = z.view("<u8").reshape(nbytes, 8, w)  # Z_{8j+b} at [j, b]
+        comp = np.zeros((64 * w, nbytes), dtype=np.uint8)  # rows x ≥ 2^d lie in no Z_i
+        comp[: 1 << d] = ~gf2.pack(_smaller_row_space(code), code.n)  # 1 past n
+        z = gf2.transpose(comp, 8 * nbytes).view("<u8").reshape(nbytes, 8, w)  # Z_{8j+b} at [j, b]
         self.tables = np.empty((nbytes, 256, w), dtype=np.uint64)
         t = self.tables if self.h_side else self.tables[:, ::-1]  # G: entry b at 255 − b
         t[:, 0] = np.uint64((1 << min(1 << d, 64)) - 1)
@@ -145,8 +144,8 @@ class PatternEntropy:
 
 
 # Bits of S covered by one dense subset-sum table; the rest are looped over.
-# 2^15 int32 entries (128 KB) stay cache-sized and bound memory at any n;
-# 15 measured as fast as 16 or faster at n = 16..22, with half the memory.
+# 2^15 uint16 entries (64 KB) stay cache-sized and bound memory at any n; 16
+# ran 7–9% faster at n = 20..24 but 1.8x slower at n = 16, 14 and 17 slower.
 ZETA_LOW_BITS = 15
 
 
@@ -174,7 +173,8 @@ def rank_profile(code: CodeSpec) -> np.ndarray:
     #{c ∈ D : supp c ⊆ S} is a power of two for every S ⊆ [n].  Each S is
     tallied at |S|·(d + 1) + log2 f[S], and `_relabel` maps those counts to
     N(µ, r).  f is built one 2^L block at a time (L = min(n, ZETA_LOW_BITS)),
-    one block per value of the high bits of S.
+    one block per value of the high bits of S, in uint16: every entry, partial
+    sums included, is at most 2^d, and d ≤ n/2 ≤ 14 under the guard.
     """
     n = code.n
     if n > RANK_PROFILE_GUARD_N:
@@ -186,10 +186,11 @@ def rank_profile(code: CodeSpec) -> np.ndarray:
     base = np.bitwise_count(np.arange(1 << low)) * np.int64(d + 1)  # |S_lo|·(d + 1)
     tally = np.zeros((n + 1) * (d + 1), dtype=np.int64)
     for hi in range(1 << (n - low)):
-        f = np.bincount(span_lo[(span_hi & ~hi) == 0], minlength=1 << low).astype(np.int32)
+        f = np.bincount(span_lo[(span_hi & ~hi) == 0], minlength=1 << low).astype(np.uint16)
         for i in range(low):
             v = f.reshape(-1, 2, 1 << i)
-            v[:, 1] += v[:, 0]
+            v = v.T if i < 4 else v  # order="C": the inner loop walks the last axis, not a 1–8 run
+            np.add(v[:, 1], v[:, 0], out=v[:, 1], order="C")
         log_f = np.frexp(f)[1] - 1
         tally += np.bincount(base + ((d + 1) * hi.bit_count() + log_f), minlength=tally.size)
     return _relabel(code, tally.reshape(n + 1, d + 1))
@@ -316,24 +317,22 @@ def equivocation_bits(coeffs: Sequence[Sequence[float]], grid: Sequence[float]) 
 
     Evaluates Σ_µ a[µ]·ε^(n−µ)(1−ε)^µ for each row a of an (N, n + 1) stack of
     `coefficients`.  Terms are added in ascending µ (friendly at small ε) as
-    (a·ε^(n−µ))·(1−ε)^µ, and each power is Python's float `**`, not numpy's,
-    so a value does not depend on which codes or points share a call.
+    (a·ε^(n−µ))·(1−ε)^µ, and each power is Python's float `**` (one object-dtype
+    `np.power` per table), not numpy's float power, so a value does not depend
+    on which codes or points share a call.
     """
     a = np.asarray(coeffs, dtype=float)
     grid = [float(eps) for eps in grid]  # np.float64 ** would be numpy's power
     for eps in grid:
         if not 0.0 <= eps <= 1.0:
             raise ValueError(f"eps must be in [0, 1], got {eps}")
-    n = a.shape[1] - 1
+    n, mus, points = a.shape[1] - 1, np.arange(a.shape[1])[:, None], np.array(grid, dtype=object)
     # Row µ: ε^(n−µ) and (1−ε)^µ at each grid point.
-    erased = np.array([[eps ** (n - mu) for eps in grid] for mu in range(n + 1)])
-    revealed = np.array([[(1.0 - eps) ** mu for eps in grid] for mu in range(n + 1)])
+    erased = np.power(points, n - mus).astype(float)
+    revealed = np.power(1.0 - points, mus).astype(float)
     total = np.zeros((len(a), len(grid)))
-    term = np.empty_like(total)
     for mu in range(n + 1):
-        np.multiply(a[:, mu, None], erased[mu], out=term)
-        term *= revealed[mu]
-        total += term
+        total += a[:, mu, None] * erased[mu] * revealed[mu]
     return total
 
 

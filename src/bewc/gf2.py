@@ -8,7 +8,7 @@ position 8b + j (the layout of `np.packbits(..., bitorder="little")`);
 `pack` and `unpack` are the only conversions between the two formats,
 `to01` (and `to01_rows`, its array pass over many words) and `from01` the
 only ones to and from '01' strings, whose leftmost character is position 0,
-and `column_ints` the one transpose between a matrix's rows and its columns.
+and `transpose` the one transpose between a matrix's rows and its columns.
 Everything here is a pure function or an immutable value; nothing mutates
 its inputs.
 
@@ -87,11 +87,16 @@ class BitMatrix:
         return [to01(r, self.cols) for r in self.rows]
 
 
+def transpose(rows: np.ndarray, cols: int) -> np.ndarray:
+    """The cols columns of a packed (N, ⌈cols/8⌉) batch as a packed (cols, ⌈N/8⌉) one."""
+    bits = np.unpackbits(rows, axis=1, count=cols, bitorder="little")
+    bits = np.ascontiguousarray(bits.T)  # packbits runs 2–3x faster on it than on a view
+    return np.packbits(bits, axis=1, bitorder="little")
+
+
 def column_ints(m: BitMatrix) -> list[int]:
-    """Columns of m as packed ints (bit i = row i), by one numpy transpose."""
-    bits = np.unpackbits(pack(m.rows, m.cols), axis=1, count=m.cols, bitorder="little")
-    cols = np.ascontiguousarray(bits.T)  # packbits runs 2–3x faster on it than on a view
-    return unpack(np.packbits(cols, axis=1, bitorder="little"))
+    """Columns of m as ints (bit i = row i): `transpose`, unpacked."""
+    return unpack(transpose(pack(m.rows, m.cols), m.cols))
 
 
 def _echelon(vectors: Sequence[int], mask: int) -> dict[int, int]:

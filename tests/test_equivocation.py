@@ -111,19 +111,47 @@ def test_entropy_tables_every_listed_dimension(d):
             _assert_kernel_matches_generator_formula(c, _sample_masks(rng, n, 40))
 
 
-def test_entropy_tables_read_z_sets_through_column_ints(monkeypatch):
+def test_entropy_tables_read_z_sets_through_gf2_transpose(monkeypatch):
     # One bit transpose: each Z_i is column i of D's complemented word list,
-    # read through `gf2.column_ints`, not through a transpose of its own.
+    # read through `gf2.transpose`, not through a transpose of its own.
     code, calls = bewc.hamming_base(5), []
-    real = gf2.column_ints
+    real = gf2.transpose
 
-    def counted(m):
-        calls.append((m.nrows, m.cols))
-        return real(m)
+    def counted(rows, cols):
+        calls.append((rows.shape, cols))
+        return real(rows, cols)
 
-    monkeypatch.setattr(gf2, "column_ints", counted)
+    monkeypatch.setattr(gf2, "transpose", counted)
     assert PatternEntropy(code).tables is not None
-    assert calls == [(32, 32)]  # 2^5 words of C⊥, 4 bytes of positions
+    assert calls == [((64, 4), 32)]  # 2^5 words of C⊥ in one uint64, 4 bytes of positions
+
+
+def _tables_through_column_ints(code):
+    """The bitset tables as built before `gf2.transpose`: the complemented words
+    as a BitMatrix, its columns as ints from `gf2.column_ints`, packed again."""
+    d, nbytes = min(code.k, code.dim), (code.n + 7) // 8
+    w = max(1, (1 << d) // 64)
+    ones = (1 << 8 * nbytes) - 1
+    comp = gf2.BitMatrix(8 * nbytes, tuple(ones ^ c for c in eq._smaller_row_space(code)))
+    z = pack(gf2.column_ints(comp), 64 * w).view("<u8").reshape(nbytes, 8, w)
+    tables = np.empty((nbytes, 256, w), dtype=np.uint64)
+    t = tables if code.k <= code.dim else tables[:, ::-1]
+    t[:, 0] = np.uint64((1 << min(1 << d, 64)) - 1)
+    for b in range(8):
+        np.bitwise_and(t[:, : 1 << b], z[:, b, None], out=t[:, 1 << b : 2 << b])
+    return tables
+
+
+@pytest.mark.parametrize("make", [lambda: bewc.hamming_base(5), lambda: bewc.simplex_base(5),
+                                  lambda: random_code(127, 13, seed=1)],
+                         ids=["hamming-5", "simplex-5", "random-127-13"])
+def test_entropy_tables_match_the_column_ints_construction(make):
+    # The H side at d = 5, the G side at d = 5 and at d = 13 (two bytes of n).
+    code = make()
+    tables = PatternEntropy(code).tables
+    want = _tables_through_column_ints(code)
+    assert tables.dtype == want.dtype and tables.shape == want.shape
+    assert tables.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------- oracle
@@ -248,18 +276,27 @@ def test_rank_profile_matches_pattern_tally():
                 assert np.array_equal(bewc.rank_profile(c), want), (n, c.dim)
 
 
-@pytest.mark.parametrize("n, dim", [(17, 5), (17, 12), (18, 4), (18, 14)])
+@pytest.mark.parametrize("n, dim", [(17, 5), (17, 12), (18, 4), (18, 14), (19, 9)])
 def test_rank_profile_blocked_matches_kernel_tally(n, dim):
     # n > ZETA_LOW_BITS: the subset-sum table is built one block of high bits
-    # at a time; the batched entropy kernel scores the same 2^n patterns.
+    # at a time; the batched entropy kernel scores the same 2^n patterns, 2^16
+    # at a time.  At (19, 9), d = 9, so table entries reach 2^9, past a byte.
     assert n > eq.ZETA_LOW_BITS
     code = random_code(n, dim, seed=n + dim)
-    erased = np.arange(1 << n, dtype="<u8")
-    packed = erased.view(np.uint8).reshape(-1, 8)[:, : (n + 7) // 8]
-    mu = n - np.unpackbits(packed, axis=1).sum(axis=1, dtype=np.int64)
-    r = PatternEntropy(code)(packed) - code.k + mu
-    tally = np.bincount(mu * (dim + 1) + r, minlength=(n + 1) * (dim + 1))
+    ent, tally = PatternEntropy(code), np.zeros((n + 1) * (dim + 1), dtype=np.int64)
+    for start in range(0, 1 << n, 1 << 16):
+        erased = np.arange(start, start + (1 << 16), dtype="<u8")
+        packed = erased.view(np.uint8).reshape(-1, 8)[:, : (n + 7) // 8]
+        mu = n - np.unpackbits(packed, axis=1).sum(axis=1, dtype=np.int64)
+        r = ent(packed) - code.k + mu
+        tally += np.bincount(mu * (dim + 1) + r, minlength=tally.size)
     assert np.array_equal(bewc.rank_profile(code), tally.reshape(n + 1, dim + 1))
+
+
+def test_rank_profile_table_entries_fit_its_dtype_up_to_the_guard():
+    # Every entry of `rank_profile`'s uint16 subset-sum table is at most 2^d, and
+    # d = min(k, dim) ≤ n/2, so a higher guard must not wrap the table silently.
+    assert 2 ** (eq.RANK_PROFILE_GUARD_N // 2) <= np.iinfo(np.uint16).max
 
 
 def test_rank_profile_duality_identity_n22():
@@ -387,6 +424,21 @@ def test_equivocation_bits_matches_scalar_loop_bit_for_bit():
     bits = eq.equivocation_bits([eq.coefficients(p) for p in profiles], grid)
     assert bits.shape == (12, len(grid))
     assert bits.tolist() == [[_scalar_bits(p, float(e)) for e in grid] for p in profiles]
+
+
+@pytest.mark.parametrize("r", [3, 5, 8])
+def test_equivocation_bits_is_the_python_float_sum(r):
+    # The evaluator's contract at n = 7, 31 and 255, for a Hamming code and a
+    # simplex code in one call: Python's `**`, terms added in ascending µ, on
+    # an empty grid, the two ends, one point and the default grid plus ε = R.
+    # numpy's float power differs from `**` in the last bit on some of these.
+    n = 2**r - 1
+    profiles = [eq._exact_profile(bewc.hamming_base(r)), eq._exact_profile(bewc.simplex_base(r))]
+    coeffs = [eq.coefficients(p) for p in profiles]
+    for grid in ([], [0.0, 1.0], [0.3], sorted({*eq.DEFAULT_GRID, r / n, (n - r) / n})):
+        bits = eq.equivocation_bits(coeffs, grid)
+        assert bits.shape == (2, len(grid))
+        assert bits.tolist() == [[_scalar_bits(p, e) for e in grid] for p in profiles]
 
 
 def test_equivocation_bits_of_many_codes_match_single_rows():

@@ -35,6 +35,15 @@ def test_column_ints_transposes(m):
     assert all(c >> m.nrows == 0 for c in cols)
 
 
+@given(bitmatrix(max_rows=20, max_cols=70, min_size=0))
+def test_transpose_is_column_ints_packed_and_undoes_itself(m):
+    rows = pack(m.rows, m.cols)
+    cols = gf2.transpose(rows, m.cols)
+    assert cols.dtype == np.uint8 and cols.shape == (m.cols, (m.nrows + 7) // 8)
+    assert unpack(cols) == gf2.column_ints(m)
+    assert np.array_equal(gf2.transpose(cols, m.nrows), rows)
+
+
 # ---------------------------------------------------------------- rank
 
 def test_rank_example_generator():
