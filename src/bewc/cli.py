@@ -26,9 +26,11 @@ from .codes import CodeError, CodeSpec, GuardError, RandomCodeParams
 
 DEFAULT_SEED = 0x5EC0DE
 OUTPUT_DIR_ENV = "BEWC_OUTPUT_DIR"
-# What a command may hold across its eps grid: a point's curve point and output
-# row measured 0.5-0.8 KB, a float64 entry is 8 B.  A search point is priced at
-# 8 B per code, a bound on its class rows (classes ≤ codes): (8,4) at 99, 160 MB.
+# What a command may hold across its eps grid (tracemalloc peaks of `main`, 4,000
+# points): a curve point and its CSV row 0.4–0.7 KB, as JSON 1.4–1.6 KB.  An exact
+# curve's two float64 power tables, each built through an object array of 32-B
+# entries, peak at 48 B an entry, n + 1 a point.  A search point is priced at 8 B
+# per code, a bound on its class rows (classes ≤ codes): (8,4) at 99, 160 MB.
 GRID_BYTES_BUDGET = 1 << 30
 POINT_BYTES = 1 << 10
 
@@ -176,7 +178,7 @@ def cmd_code(args) -> int:
 
 def cmd_curve(args) -> int:
     code = _resolve_code(args)
-    tables = 16 * (code.n + 1) if eq.resolve_method(args.method, code) == "exact" else 0
+    tables = 48 * (code.n + 1) if eq.resolve_method(args.method, code) == "exact" else 0
     grid = _grid(args, POINT_BYTES + tables)  # tables: equivocation_bits' powers of ε
     cv = eq.curve(code, grid, args.method, args.trials, args.seed, pool=args.pool)
     if args.format == "json":

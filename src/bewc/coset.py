@@ -92,9 +92,7 @@ def codebook(code: CodeSpec) -> Codebook:
         raise GuardError(
             f"explicit codebook needs n <= {CODEBOOK_GUARD_N}, got n={code.n}"
         )
-    # syn[w] = w·Hᵀ, the XOR of H's columns at w's set bits, by doubling.
-    syn = np.zeros(1, dtype=np.int64)
-    for col in gf2.column_ints(code.H):
-        syn = np.concatenate([syn, syn ^ col])
+    # syn[w] = w·Hᵀ, the XOR of H's columns at w's set bits.
+    syn = gf2.span(np.array(gf2.column_ints(code.H), dtype=np.int64))
     words = np.argsort(syn, kind="stable")  # grouped by syndrome, ascending within
     return Codebook(code=code, cosets=words.reshape(1 << code.k, -1))

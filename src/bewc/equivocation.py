@@ -72,13 +72,9 @@ def pack_erasures(words: np.ndarray, eps: float) -> np.ndarray:
     return np.packbits(erased, bitorder="little").reshape(size, -1)
 
 
-def _smaller_row_space(code: CodeSpec) -> list[int]:
-    """All 2^min(k, dim) words of C⊥ (spanned by H) when k ≤ dim, else of C;
-    word x is the sum of the basis rows picked by the bits of x."""
-    span = [0]
-    for row in (code.H if code.k <= code.dim else code.G).rows:
-        span += [c ^ row for c in span]
-    return span
+def _smaller_side(code: CodeSpec) -> tuple[int, ...]:
+    """D's min(k, dim) basis rows: H's (D = C⊥) when k ≤ dim, else G's (D = C)."""
+    return (code.H if code.k <= code.dim else code.G).rows
 
 
 class PatternEntropy:
@@ -114,7 +110,7 @@ class PatternEntropy:
             self.cols_h, self.cols_g = gf2.column_ints(code.H), gf2.column_ints(code.G)
             return
         comp = np.zeros((64 * w, nbytes), dtype=np.uint8)  # rows x ≥ 2^d lie in no Z_i
-        comp[: 1 << d] = ~gf2.pack(_smaller_row_space(code), code.n)  # 1 past n
+        comp[: 1 << d] = ~gf2.span(gf2.pack(_smaller_side(code), code.n))  # 1 past n
         z = gf2.transpose(comp, 8 * nbytes).view("<u8").reshape(nbytes, 8, w)  # Z_{8j+b} at [j, b]
         self.tables = np.empty((nbytes, 256, w), dtype=np.uint64)
         t = self.tables if self.h_side else self.tables[:, ::-1]  # G: entry b at 255 − b
@@ -179,7 +175,7 @@ def rank_profile(code: CodeSpec) -> np.ndarray:
     n = code.n
     if n > RANK_PROFILE_GUARD_N:
         raise GuardError(f"rank profile needs n <= {RANK_PROFILE_GUARD_N}, got {n}")
-    span = np.array(_smaller_row_space(code), dtype=np.int64)
+    span = gf2.span(np.array(_smaller_side(code), dtype=np.int64))
     d = min(code.k, code.dim)
     low = min(n, ZETA_LOW_BITS)
     span_lo, span_hi = span & ((1 << low) - 1), span >> low
@@ -245,15 +241,14 @@ def subcode_supports(code: CodeSpec) -> np.ndarray:
     """A[j, w], the number of j-dimensional subcodes U of D, the smaller side
     (C⊥ when k ≤ dim, else C), whose support |supp U| is w: (d + 1, n + 1) int64.
 
-    D's 2^d words are listed once as uint64 rows, row x the sum of the basis
-    words picked by the bits of x.  The j-dimensional subspaces of those
-    coordinates x come from `codes.enumerate_subspaces(d, j)`, inside its guard
-    at d ≤ 9 (`support_profile`'s budget), one RREF basis per column; U is the
-    span of the words at its rows, and its support is the OR of those words.
+    D's 2^d words are listed once, `gf2.span` of its basis rows packed as uint64
+    rows.  The j-dimensional subspaces of those coordinates x come from
+    `codes.enumerate_subspaces(d, j)`, inside its guard at d ≤ 9
+    (`support_profile`'s budget), one RREF basis per column; U is the span of
+    the words at its rows, and its support is the OR of those words.
     """
-    n = code.n
-    words = gf2.pack(_smaller_row_space(code), 64 * ((n + 63) // 64)).view("<u8")
-    d = min(code.k, code.dim)
+    n, d = code.n, min(code.k, code.dim)
+    words = gf2.span(gf2.pack(_smaller_side(code), 64 * ((n + 63) // 64)).view("<u8"))
     tally = np.zeros((d + 1, n + 1), dtype=np.int64)
     for j in range(d + 1):
         for block in codes.enumerate_subspaces(d, j):

@@ -191,11 +191,8 @@ def _support_keys(keys: np.ndarray, n: int, dim: int) -> np.ndarray:
     hist[:, 1 << np.arange(d)] += 1
     m = []
     for u in range(d):
-        for block in codes.enumerate_subspaces(d, u):
-            span = np.zeros((1, block.shape[1]), dtype=np.int64)  # V's 2^u words per column
-            for row in block:
-                span = np.concatenate([span, span ^ row])
-            m.append(hist[:, span].sum(axis=1) + u * (n + 1))  # the offset sorts each u apart
+        for block in codes.enumerate_subspaces(d, u):  # V's 2^u words per column, spanned
+            m.append(hist[:, gf2.span(block)].sum(axis=1) + u * (n + 1))  # offset: u sorts apart
     return np.sort(np.concatenate(m, axis=1), axis=1)
 
 

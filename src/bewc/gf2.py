@@ -8,9 +8,9 @@ position 8b + j (the layout of `np.packbits(..., bitorder="little")`);
 `pack` and `unpack` are the only conversions between the two formats,
 `to01` (and `to01_rows`, its array pass over many words) and `from01` the
 only ones to and from '01' strings, whose leftmost character is position 0,
-and `transpose` the one transpose between a matrix's rows and its columns.
-Everything here is a pure function or an immutable value; nothing mutates
-its inputs.
+`transpose` the one transpose between a matrix's rows and its columns, and
+`span` the one listing of a row space's words, in any format.  Everything
+here is a pure function or an immutable value; nothing mutates its inputs.
 
 A matrix with zero rows or zero columns is legal (rank 0); full-rank null
 spaces produce them.
@@ -99,6 +99,15 @@ def column_ints(m: BitMatrix) -> list[int]:
     return unpack(transpose(pack(m.rows, m.cols), m.cols))
 
 
+def span(rows: np.ndarray) -> np.ndarray:
+    """All 2^d XOR sums of the d rows along axis 0 of an integer array, in its dtype and
+    trailing shape, by doubling: entry x is the XOR of the rows at the bits of x."""
+    out = np.zeros((1 << len(rows), *rows.shape[1:]), dtype=rows.dtype)
+    for i in range(len(rows)):  # rows[i], not enumerate's array iterator: 15% off at d = 3
+        np.bitwise_xor(out[: 1 << i], rows[i], out=out[1 << i : 2 << i])
+    return out
+
+
 def _echelon(vectors: Sequence[int], mask: int) -> dict[int, int]:
     """The one elimination loop: an echelon basis of the vectors[i] whose bit i
     is set in mask, each row keyed by its lowest set bit, its pivot (any 1 may
@@ -176,9 +185,7 @@ class ByteTables:
         nb, ob = (m.nrows + 7) // 8, (m.cols + 7) // 8
         rows = np.zeros((8 * nb, ob), dtype=np.uint8)
         rows[: m.nrows] = pack(m.rows, m.cols)
-        tables = np.zeros((nb, 256, ob), dtype=np.uint8)
-        for j in range(8):  # by doubling: entry s | 2^j = entry s ^ row j
-            tables[:, 1 << j : 2 << j] = tables[:, : 1 << j] ^ rows[j::8, None]
+        tables = np.ascontiguousarray(span(rows.reshape(nb, 8, ob).swapaxes(0, 1)).swapaxes(0, 1))
         tables.flags.writeable = False
         object.__setattr__(self, "tables", tables)
 

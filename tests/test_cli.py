@@ -10,6 +10,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 from unittest import mock
@@ -244,6 +245,8 @@ def test_curve_rejects_nonpositive_grid(tmp_path, capsys, npts):
     ["search", "--n", "7", "--dim", "4", "--grid", "20000"],
     ["ensemble", "--n", "7", "--dim", "4", "--alpha", "0.5", "--codes", "10",
      "--reference-family", "hamming", "--reference-r", "3", "--grid", "100000"],
+    # 100,000 × (1 KB + 48 B × 256) = 1.3 GB: the power tables' object intermediates.
+    ["curve", "--family", "hamming", "--r", "8", "--method", "exact", "--grid", "100000"],
 ])
 def test_grid_refused_by_what_it_would_hold(argv, capsys, monkeypatch):
     def no_grid(npts):
@@ -259,6 +262,29 @@ def test_grid_budget_admits_the_largest_search():
     # The (8,4) search holds 200,787 rates per point; its default 99 points fit.
     per_point = cli.POINT_BYTES + 8 * experiments.search_count(8, 4)
     assert len(cli._grid(argparse.Namespace(eps=None, grid=None), per_point)) == 99
+
+
+@pytest.mark.parametrize("r", [5, 8])
+def test_exact_curve_holds_no_more_than_its_grid_price(r, tmp_path, capsys, monkeypatch):
+    # n = 31 and 255 at 2,000 points: the command's tracemalloc peak per point,
+    # power tables included, stays within what `_grid` was told a point holds.
+    priced, real = [], cli._grid
+
+    def grid(args, point_bytes):
+        priced.append(point_bytes)
+        return real(args, point_bytes)
+
+    monkeypatch.setattr(cli, "_grid", grid)
+    npts = 2000
+    tracemalloc.start()
+    try:
+        rc, _, _ = run(["curve", "--family", "hamming", "--r", str(r), "--method", "exact",
+                        "--grid", str(npts), "-o", str(tmp_path / "c.csv")], capsys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 0 and len(priced) == 1
+    assert peak / npts <= priced[0], (peak / npts, priced[0])
 
 
 def test_curve_explicit_eps_endpoints(tmp_path, capsys):

@@ -203,6 +203,20 @@ def test_codebook_table1_structure(ex1):
         assert len(cs) == 4
 
 
+@pytest.mark.parametrize("code", [bewc.hamming_base(3), bewc.hamming_base(4),
+                                  bewc.simplex_base(4), random_code(20, 13, seed=3)],
+                         ids=lambda c: c.name)
+def test_codebook_matches_the_concatenate_doubling(code):
+    # The syndromes as listed before `gf2.span`: one np.concatenate per column of H.
+    syn = np.zeros(1, dtype=np.int64)
+    for col in gf2.column_ints(code.H):
+        syn = np.concatenate([syn, syn ^ col])
+    want = np.argsort(syn, kind="stable").reshape(1 << code.k, -1)
+    cosets = bewc.codebook(code).cosets
+    assert cosets.dtype == want.dtype and cosets.shape == want.shape
+    assert cosets.tobytes() == want.tobytes()
+
+
 def test_codebook_guard():
     c = random_code(31, 26, seed=1)
     with pytest.raises(codes.GuardError):

@@ -126,13 +126,23 @@ def test_entropy_tables_read_z_sets_through_gf2_transpose(monkeypatch):
     assert calls == [((64, 4), 32)]  # 2^5 words of C⊥ in one uint64, 4 bytes of positions
 
 
+def _smaller_side_words(code):
+    """The 2^d words of D, the smaller side, as the Python-int doubling lists
+    them: word x is the XOR of the basis rows picked by the bits of x."""
+    words = [0]
+    for row in (code.H if code.k <= code.dim else code.G).rows:
+        words += [c ^ row for c in words]
+    return words
+
+
 def _tables_through_column_ints(code):
-    """The bitset tables as built before `gf2.transpose`: the complemented words
-    as a BitMatrix, its columns as ints from `gf2.column_ints`, packed again."""
+    """The bitset tables as built before `gf2.transpose` and `gf2.span`: D's words
+    as Python ints, complemented as a BitMatrix, its columns as ints from
+    `gf2.column_ints`, packed again."""
     d, nbytes = min(code.k, code.dim), (code.n + 7) // 8
     w = max(1, (1 << d) // 64)
     ones = (1 << 8 * nbytes) - 1
-    comp = gf2.BitMatrix(8 * nbytes, tuple(ones ^ c for c in eq._smaller_row_space(code)))
+    comp = gf2.BitMatrix(8 * nbytes, tuple(ones ^ c for c in _smaller_side_words(code)))
     z = pack(gf2.column_ints(comp), 64 * w).view("<u8").reshape(nbytes, 8, w)
     tables = np.empty((nbytes, 256, w), dtype=np.uint64)
     t = tables if code.k <= code.dim else tables[:, ::-1]
@@ -575,6 +585,26 @@ def _reference_subcode_supports(code):
                 support |= word(x)
             want[j, support.bit_count()] += 1
     return want
+
+
+@pytest.mark.parametrize("make", [lambda: bewc.hamming_base(5), lambda: bewc.simplex_base(5),
+                                  lambda: random_code(127, 7, seed=1)],
+                         ids=["hamming-5", "simplex-5", "random-127-7"])
+def test_subcode_supports_match_the_python_int_listing(make):
+    # As built before `gf2.span`: D's words listed as Python ints, then packed
+    # to uint64 rows.  The H side at d = 5, the G side at d = 5 and at d = 7 over
+    # two uint64 words of n (d = 13 is past `enumerate_subspaces`' guard).
+    code = make()
+    n, d = code.n, min(code.k, code.dim)
+    words = pack(_smaller_side_words(code), 64 * ((n + 63) // 64)).view("<u8")
+    want = np.zeros((d + 1, n + 1), dtype=np.int64)
+    for j in range(d + 1):
+        for block in codes.enumerate_subspaces(d, j):
+            support = np.bitwise_or.reduce(words[block], axis=0)
+            want[j] += np.bincount(np.bitwise_count(support).sum(axis=1, dtype=np.int64),
+                                    minlength=n + 1)
+    got = eq.subcode_supports(code)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("block", [None, 1, 3])

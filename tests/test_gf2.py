@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
-from bewc import gf2
+from bewc import codes, gf2
 from bewc.gf2 import BitMatrix, from01, pack, to01, unpack
 
 from conftest import from_strings, identity, mul_transpose, zeros
@@ -18,11 +18,16 @@ def bitmatrix(max_rows=5, max_cols=8, min_size=1):
     )
 
 
-def row_space(m: BitMatrix) -> set[int]:
-    span = {0}
-    for r in m.rows:
-        span |= {x ^ r for x in span}
+def int_span(rows):
+    """The Python-int doubling: entry x is the XOR of the rows at the bits of x."""
+    span = [0]
+    for r in rows:
+        span += [x ^ r for x in span]
     return span
+
+
+def row_space(m: BitMatrix) -> set[int]:
+    return set(int_span(m.rows))
 
 
 @given(bitmatrix(max_rows=20, max_cols=70, min_size=0))
@@ -151,6 +156,83 @@ def test_null_space_identities(m):
     assert ns.nrows == m.cols - gf2.rank(m)
     assert mul_transpose(m, ns) == zeros(m.nrows, ns.nrows)
     assert gf2.rank(ns) == ns.nrows
+
+
+# ---------------------------------------------------------------- span
+
+def _assert_spans(rows, want, dtype):
+    before = rows.copy()
+    out = gf2.span(rows)
+    assert out.dtype == dtype and out.shape == (len(want), *rows.shape[1:])
+    assert np.array_equal(rows, before)  # the input is not written
+    return out
+
+
+@given(st.lists(st.integers(0, (1 << 63) - 1), max_size=14))
+def test_span_of_int64_rows(rows):
+    want = int_span(rows)
+    for dtype in (np.int64, np.uint64):
+        out = _assert_spans(np.array(rows, dtype=dtype), want, dtype)
+        assert out.tolist() == want
+
+
+@given(st.integers(1, 130).flatmap(
+    lambda nbits: st.lists(st.integers(0, (1 << nbits) - 1), max_size=10).map(
+        lambda rows: (nbits, rows))))
+def test_span_of_packed_rows(nbits_rows):
+    # (d, ⌈nbits/8⌉) uint8 rows and the same words as (d, W) uint64 rows.
+    nbits, rows = nbits_rows
+    want = int_span(rows)
+    out = _assert_spans(pack(rows, nbits), want, np.uint8)
+    assert unpack(out) == want
+    words = pack(rows, 64 * ((nbits + 63) // 64)).view("<u8")
+    out = _assert_spans(words, want, np.dtype("<u8"))
+    assert unpack(out.view(np.uint8)) == want
+
+
+@given(st.integers(0, 6), st.integers(1, 5), st.data())
+def test_span_of_subspace_blocks(u, m, data):
+    # A (u, m) int64 block holds m bases of u words each, one per column.
+    words = data.draw(st.lists(st.integers(0, 63), min_size=u * m, max_size=u * m))
+    block = np.array(words, dtype=np.int64).reshape(u, m)
+    want = [int_span(col) for col in block.T.tolist()]
+    assert _assert_spans(block, want[0], np.int64).T.tolist() == want
+
+
+@pytest.mark.parametrize("u", range(5))
+def test_span_of_enumerator_blocks(u):
+    # The blocks `experiments._support_keys` spans: the u-dimensional
+    # subspaces of GF(2)^4, one RREF basis per column.
+    for block in codes.enumerate_subspaces(4, u):
+        want = [int_span(col) for col in block.T.tolist()]
+        assert _assert_spans(block, want[0], np.int64).T.tolist() == want
+
+
+def _byte_tables_by_doubling(m):
+    """`ByteTables.tables` as built before `gf2.span`: one slice-doubling a bit."""
+    nb, ob = (m.nrows + 7) // 8, (m.cols + 7) // 8
+    rows = np.zeros((8 * nb, ob), dtype=np.uint8)
+    rows[: m.nrows] = pack(m.rows, m.cols)
+    tables = np.zeros((nb, 256, ob), dtype=np.uint8)
+    for j in range(8):
+        tables[:, 1 << j : 2 << j] = tables[:, : 1 << j] ^ rows[j::8, None]
+    return tables
+
+
+@given(bitmatrix(max_rows=20, max_cols=70, min_size=0))
+@example(BitMatrix(0, ()))
+@example(BitMatrix(0, (0,) * 11))
+@example(BitMatrix(9, ()))
+@example(BitMatrix(12, (0, 0b101, 0, 0, 0xfff, 0, 0, 0, 0b1)))
+def test_byte_tables_match_the_per_byte_doubling(m):
+    # nrows % 8 ≠ 0 pads the last byte's rows; zero rows and zero columns too.
+    tables = gf2.ByteTables(m).tables
+    want = _byte_tables_by_doubling(m)
+    assert tables.dtype == np.uint8 and tables.shape == want.shape
+    assert tables.tobytes() == want.tobytes() and tables.flags.c_contiguous
+    assert not tables.flags.writeable
+    with pytest.raises(ValueError):
+        tables[...] = 0
 
 
 # ---------------------------------------------------------------- products
