@@ -27,12 +27,11 @@ from .codes import CodeError, CodeSpec, GuardError, RandomCodeParams
 DEFAULT_SEED = 0x5EC0DE
 OUTPUT_DIR_ENV = "BEWC_OUTPUT_DIR"
 # What a command may hold across its eps grid (tracemalloc peaks of `main`, 4,000
-# points): a curve point and its CSV row 0.4–0.7 KB, as JSON 1.4–1.6 KB.  An exact
-# curve's two float64 power tables, each built through an object array of 32-B
-# entries, peak at 48 B an entry, n + 1 a point.  A search point is priced at 8 B
-# per code, a bound on its class rows (classes ≤ codes): (8,4) at 99, 160 MB.
+# points): a curve point and its CSV row 0.4–0.7 KB, as JSON 1.4–1.6 KB.  A search
+# point adds 8 B per code, a bound on its class rows (classes ≤ codes): (8,4) at
+# 99 points is priced at 159 MB, and 667 points are the most it admits.
 GRID_BYTES_BUDGET = 1 << 30
-POINT_BYTES = 1 << 10
+POINT_BYTES = 2 << 10
 
 CURVE_CSV_HEADER = "epsilon,equivocation_bits,equivocation_rate,stderr,ci95_lo,ci95_hi,method"
 
@@ -178,9 +177,7 @@ def cmd_code(args) -> int:
 
 def cmd_curve(args) -> int:
     code = _resolve_code(args)
-    tables = 48 * (code.n + 1) if eq.resolve_method(args.method, code) == "exact" else 0
-    grid = _grid(args, POINT_BYTES + tables)  # tables: equivocation_bits' powers of ε
-    cv = eq.curve(code, grid, args.method, args.trials, args.seed, pool=args.pool)
+    cv = eq.curve(code, _grid(args, POINT_BYTES), args.method, args.trials, args.seed, pool=args.pool)
     if args.format == "json":
         _json(args, code=cv.code_name, method=cv.method, points=[vars(p) for p in cv.points])
     else:

@@ -48,8 +48,8 @@ CI95 = 1.96
 # 1.7–7.9 µs against 5.0–151 µs.  The crossover lies above 13, but table
 # memory doubles with each d (4 MB at d = 13, n = 127; 8 MB at d = 14).
 SPAN_MAX_DIM = 13
-# uint64 words (2 MB) in one sampling step, `PatternEntropy.rows` trials drawn,
-# packed and scored at once: it bounds both the draw and the kernel's accumulator.
+# uint64 words (2 MB) in one sampling step, `PatternEntropy.rows` trials drawn, packed
+# and scored at once; it also bounds a power table of one `equivocation_bits` block.
 STEP_WORDS = 1 << 18
 
 
@@ -313,21 +313,26 @@ def equivocation_bits(coeffs: Sequence[Sequence[float]], grid: Sequence[float]) 
     Evaluates Σ_µ a[µ]·ε^(n−µ)(1−ε)^µ for each row a of an (N, n + 1) stack of
     `coefficients`.  Terms are added in ascending µ (friendly at small ε) as
     (a·ε^(n−µ))·(1−ε)^µ, and each power is Python's float `**` (one object-dtype
-    `np.power` per table), not numpy's float power, so a value does not depend
-    on which codes or points share a call.
+    `np.power` per table), not numpy's float power.  The grid runs in blocks of
+    max(1, STEP_WORDS // (n + 1)) points, so each power table holds at most
+    max(STEP_WORDS, n + 1) entries, and both peak at 48 B an entry (two float64
+    tables, one object intermediate).  A point's sum reads only its own ε, so
+    no value depends on the block or on which codes or points share a call.
     """
     a = np.asarray(coeffs, dtype=float)
     grid = [float(eps) for eps in grid]  # np.float64 ** would be numpy's power
     for eps in grid:
         if not 0.0 <= eps <= 1.0:
             raise ValueError(f"eps must be in [0, 1], got {eps}")
-    n, mus, points = a.shape[1] - 1, np.arange(a.shape[1])[:, None], np.array(grid, dtype=object)
-    # Row µ: ε^(n−µ) and (1−ε)^µ at each grid point.
-    erased = np.power(points, n - mus).astype(float)
-    revealed = np.power(1.0 - points, mus).astype(float)
-    total = np.zeros((len(a), len(grid)))
-    for mu in range(n + 1):
-        total += a[:, mu, None] * erased[mu] * revealed[mu]
+    n, mus, total = a.shape[1] - 1, np.arange(a.shape[1])[:, None], np.zeros((len(a), len(grid)))
+    block = max(1, STEP_WORDS // (n + 1))
+    for start in range(0, len(grid), block):
+        points, out = np.array(grid[start:start + block], dtype=object), total[:, start:start + block]
+        # Row µ: ε^(n−µ) and (1−ε)^µ at each point of the block.
+        erased = np.power(points, n - mus).astype(float)
+        revealed = np.power(1.0 - points, mus).astype(float)
+        for mu in range(n + 1):
+            out += a[:, mu, None] * erased[mu] * revealed[mu]
     return total
 
 
@@ -490,8 +495,7 @@ def curve(
     method = resolve_method(method, code)
     n = code.n
     if method == "exact":
-        if profile is None:
-            profile = _exact_profile(code)
+        profile = _exact_profile(code) if profile is None else profile
         bits = equivocation_bits([coefficients(profile)], grid)[0].tolist()
         points = [CurvePoint(eps=eps, bits=b, rate=b / n) for eps, b in zip(grid, bits)]
     else:
@@ -518,8 +522,7 @@ def achievability_gap(
     r = code.rate
     estimate = None
     if method == "exact":
-        if profile is None:
-            profile = _exact_profile(code)
+        profile = _exact_profile(code) if profile is None else profile
         bits = exact_equivocation(profile, r)
     else:
         estimate = mc_equivocation(code, r, trials, seed, pool)

@@ -245,8 +245,8 @@ def test_curve_rejects_nonpositive_grid(tmp_path, capsys, npts):
     ["search", "--n", "7", "--dim", "4", "--grid", "20000"],
     ["ensemble", "--n", "7", "--dim", "4", "--alpha", "0.5", "--codes", "10",
      "--reference-family", "hamming", "--reference-r", "3", "--grid", "100000"],
-    # 100,000 × (1 KB + 48 B × 256) = 1.3 GB: the power tables' object intermediates.
-    ["curve", "--family", "hamming", "--r", "8", "--method", "exact", "--grid", "100000"],
+    # 600,000 × 2 KB = 1.2 GB: an exact curve's points, at any n, priced as any curve's.
+    ["curve", "--family", "hamming", "--r", "8", "--method", "exact", "--grid", "600000"],
 ])
 def test_grid_refused_by_what_it_would_hold(argv, capsys, monkeypatch):
     def no_grid(npts):
@@ -264,27 +264,45 @@ def test_grid_budget_admits_the_largest_search():
     assert len(cli._grid(argparse.Namespace(eps=None, grid=None), per_point)) == 99
 
 
+def priced_peak(argv, capsys):
+    """`main(argv)`'s tracemalloc peak and the bytes a point that `_grid` was told it holds."""
+    with mock.patch.object(cli, "_grid", wraps=cli._grid) as grid:
+        tracemalloc.start()
+        try:
+            rc, _, _ = run(argv, capsys)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert rc == 0 and grid.call_count == 1
+    return peak, grid.call_args.args[1]
+
+
 @pytest.mark.parametrize("r", [5, 8])
-def test_exact_curve_holds_no_more_than_its_grid_price(r, tmp_path, capsys, monkeypatch):
-    # n = 31 and 255 at 2,000 points: the command's tracemalloc peak per point,
-    # power tables included, stays within what `_grid` was told a point holds.
-    priced, real = [], cli._grid
+def test_exact_curve_holds_no_more_than_its_grid_price(r, tmp_path, capsys):
+    # An exact curve is priced as any curve: the evaluator bounds its power
+    # tables by a block, at most 48 B × STEP_WORDS whatever the grid.  A block
+    # is 8,192 points at n = 31 and 1,024 at n = 255, where 20,000 points
+    # stay under 32 MiB.
+    peaks, grids = [], (2000, 20000)
+    for npts in grids:
+        argv = ["curve", "--family", "hamming", "--r", str(r), "--method", "exact",
+                "--grid", str(npts), "-o", str(tmp_path / "c.csv")]
+        peak, price = priced_peak(argv, capsys)
+        assert price == cli.POINT_BYTES
+        assert peak <= npts * price + 48 * equivocation.STEP_WORDS, (npts, peak)
+        peaks.append(peak)
+    assert peaks[1] - peaks[0] <= (grids[1] - grids[0]) * cli.POINT_BYTES, peaks
+    assert peaks[1] < 32 << 20, peaks
 
-    def grid(args, point_bytes):
-        priced.append(point_bytes)
-        return real(args, point_bytes)
 
-    monkeypatch.setattr(cli, "_grid", grid)
-    npts = 2000
-    tracemalloc.start()
-    try:
-        rc, _, _ = run(["curve", "--family", "hamming", "--r", str(r), "--method", "exact",
-                        "--grid", str(npts), "-o", str(tmp_path / "c.csv")], capsys)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert rc == 0 and len(priced) == 1
-    assert peak / npts <= priced[0], (peak / npts, priced[0])
+def test_json_curve_holds_no_more_than_its_grid_price(tmp_path, capsys):
+    # A JSON document is built whole before it is written: about 1.6 KB a
+    # point of a Monte Carlo curve, within its 2 KB price.
+    npts = 4000
+    argv = ["curve", "--family", "hamming", "--r", "3", "--method", "mc", "--trials", "2",
+            "--grid", str(npts), "--format", "json", "-o", str(tmp_path / "c.json")]
+    peak, price = priced_peak(argv, capsys)
+    assert peak <= npts * price, (peak / npts, price)
 
 
 def test_curve_explicit_eps_endpoints(tmp_path, capsys):

@@ -459,6 +459,48 @@ def test_equivocation_bits_of_many_codes_match_single_rows():
     assert (bits == np.array(rows)).all()
 
 
+def _whole_grid_bits(coeffs, grid):
+    """The per-µ loop over the whole grid at once, both power tables
+    (n + 1, len(grid)) object arrays: what `equivocation_bits` reproduces
+    block by block."""
+    a, points = np.asarray(coeffs, dtype=float), np.array([float(e) for e in grid], dtype=object)
+    n, mus = a.shape[1] - 1, np.arange(a.shape[1])[:, None]
+    erased = np.power(points, n - mus).astype(float)
+    revealed = np.power(1.0 - points, mus).astype(float)
+    total = np.zeros((len(a), len(grid)))
+    for mu in range(n + 1):
+        total += a[:, mu, None] * erased[mu] * revealed[mu]
+    return total
+
+
+def _class_stack_7_4():
+    """The coefficients of one code per profile class of the (7,4) search."""
+    res = bewc.exhaustive_search(7, 4, [0.5])
+    _, first = np.unique(res.classes, return_index=True)
+    return [eq.coefficients(bewc.rank_profile(codes.from_generator(res.generator(i))))
+            for i in first.tolist()]
+
+
+@pytest.mark.parametrize("step", [1, 37])
+@pytest.mark.parametrize("stack", ["hamming-3", "hamming-5", "hamming-8", "search-7-4"])
+def test_equivocation_bits_do_not_depend_on_the_block(stack, step, monkeypatch):
+    # One point a block at n = 31 and 255 (and at n = 7 with STEP_WORDS = 1),
+    # four at n = 7 with STEP_WORDS = 37: every block edge, byte for byte.
+    if stack == "search-7-4":
+        coeffs = _class_stack_7_4()
+        assert len(coeffs) == 43
+    else:
+        code = bewc.hamming_base(int(stack.split("-")[1]))
+        coeffs = [eq.coefficients(eq._exact_profile(code))]
+    rng = np.random.default_rng(11)
+    grids = [eq.DEFAULT_GRID, [0.0, 1.0], [0.3], np.sort(rng.random(3000)).tolist()]
+    monkeypatch.setattr(eq, "STEP_WORDS", step)
+    for grid in grids:
+        got, want = eq.equivocation_bits(coeffs, grid), _whole_grid_bits(coeffs, grid)
+        assert got.shape == want.shape == (len(coeffs), len(grid))
+        assert got.tobytes() == want.tobytes()
+
+
 # SHA-256 over the ","-joined bits.hex() of the 99-point default-grid exact
 # curve, and gap.hex() of the exact achievability gap, recorded while the
 # rank profile was still tallied pattern by pattern through the entropy kernel.

@@ -319,6 +319,19 @@ def test_search_is_the_same_across_block_edges(n, dim, block, monkeypatch):
     assert got.ranking == want.ranking
 
 
+def test_search_is_the_same_in_small_evaluator_blocks(monkeypatch):
+    # STEP_WORDS = 24 evaluates the 100 points (the grid and ε = R) three at a time.
+    want = bewc.exhaustive_search(7, 4, eq.DEFAULT_GRID)
+    monkeypatch.setattr(eq, "STEP_WORDS", 24)
+    got = bewc.exhaustive_search(7, 4, eq.DEFAULT_GRID)
+    for f in dataclasses.fields(want):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        if isinstance(b, np.ndarray):
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), f.name
+        else:
+            assert a == b, f.name
+
+
 def test_search_8_4_profiles_each_profile_class_once(monkeypatch):
     # Pivots {0, 1, 2, 3} have 2^16 fills, so they span 16 default blocks;
     # the 200,787 codes fall into 3,876 column keys and 106 profile classes.
